@@ -85,12 +85,12 @@ func main() {
 				fatalf("checkpoint: %v", err)
 			}
 			fmt.Fprintf(os.Stderr, "rmscli: checkpointed %d tuples at seq %d in %v (%s)\n",
-				ds.Len(), seq, time.Since(start).Round(time.Millisecond), *walDir)
+				ds.Current().Len(), seq, time.Since(start).Round(time.Millisecond), *walDir)
 			return
 		}
 		fmt.Fprintf(os.Stderr, "rmscli: recovered %d tuples (last seq %d) from %s\n",
-			ds.Len(), ds.LastSeq(), *walDir)
-		for _, p := range ds.Result() {
+			ds.Current().Len(), ds.LastSeq(), *walDir)
+		for _, p := range ds.Current().Result() {
 			printPoint(p)
 		}
 		return
@@ -189,7 +189,7 @@ func main() {
 			}
 		}
 		defer store.Close()
-		result = store.Result()
+		result = store.Current().Result()
 	} else if *algo == "FD-RMS" {
 		dyn, err := rms.NewDynamic(ds.Dim, pts, rms.Options{K: *k, R: *r, Seed: *seed})
 		if err != nil {

@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -111,7 +112,7 @@ func main() {
 		ds.SetTelemetry(tel)
 		b = &durableBackend{ds: ds}
 		log.Printf("rmsserve: durable primary at %s, n=%d on %s (applied seq %d)",
-			*walDir, ds.Len(), *addr, ds.AppliedSeq())
+			*walDir, ds.Current().Len(), *addr, ds.AppliedSeq())
 	default:
 		store, err := rms.NewStore(*d, synthetic(*n, *d, *seed), opts)
 		if err != nil {
@@ -121,7 +122,7 @@ func main() {
 		store.SetTelemetry(tel)
 		b = memBackend{store: store}
 		log.Printf("rmsserve: serving n=%d d=%d k=%d r=%d on %s (generation %d)",
-			store.Len(), *d, *k, *r, *addr, store.Current().ID())
+			store.Current().Len(), *d, *k, *r, *addr, store.Current().ID())
 	}
 
 	log.Fatal(http.ListenAndServe(*addr, newMux(b, tel, reg, *usePprof)))
@@ -493,11 +494,19 @@ func parseUtility(w http.ResponseWriter, req *http.Request) ([]float64, bool) {
 	return u, true
 }
 
+// writeOK sends v as a 200 JSON response. The body is encoded before the
+// status line goes out, so a value JSON cannot carry — a score that
+// overflowed to +Inf — becomes a 500 with a JSON error, not an empty 200.
 func writeOK(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("rmsserve: encoding response: %v", err)
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	// A failed write means the client went away; there is nobody to tell.
+	w.Write(body)
+	io.WriteString(w, "\n")
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

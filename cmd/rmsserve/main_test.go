@@ -336,3 +336,82 @@ func TestServePprofOptIn(t *testing.T) {
 		t.Fatalf("pprof cmdline without -pprof: status %d, want 404", resp.StatusCode)
 	}
 }
+
+// Utility components must be finite: +Inf used to pass the check and come
+// back as +Inf scores that JSON cannot carry, an empty 200.
+func TestServeRejectsNonFiniteUtility(t *testing.T) {
+	store := testStore(t, 100, 2)
+	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))
+	defer srv.Close()
+	for _, path := range []string{
+		"/topk?u=inf,0&k=2",
+		"/topk?u=0.5,NaN",
+		"/regret?u=0.5,+Inf",
+		"/regret?u=-inf,0.5",
+	} {
+		if body := get(t, srv, path, 400); body["error"] == nil {
+			t.Fatalf("GET %s: 400 without a JSON error body", path)
+		}
+	}
+}
+
+// A body JSON cannot encode is a 500 with a JSON error: finite utilities
+// can still overflow a score to +Inf.
+func TestServeUnencodableResponseIs500(t *testing.T) {
+	store := testStore(t, 50, 2)
+	if err := store.Insert(rms.Point{ID: 1000, Values: []float64{0.9, 0.9}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/topk?u=1e308,1e308&k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("500 body is not JSON: %v", err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || body["error"] == nil {
+		t.Fatalf("overflowing score: status %d, body %v; want 500 with an error", resp.StatusCode, body)
+	}
+}
+
+// POST /update refuses a hostile tuple as a whole with 400 and publishes
+// nothing.
+func TestServeUpdateRejectsHostileTuple(t *testing.T) {
+	store := testStore(t, 100, 2)
+	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))
+	defer srv.Close()
+	body := `{"insert": [{"id": 1000, "values": [0.5, 0.5]}, {"id": 1001, "values": [0.5, -0.5]}]}`
+	resp, err := srv.Client().Post(srv.URL+"/update", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("hostile update: status %d, want 400", resp.StatusCode)
+	}
+	if g := get(t, srv, "/result", 200); g["generation"].(float64) != 1 {
+		t.Fatalf("generation advanced to %v after a rejected batch", g["generation"])
+	}
+}
+
+// The handlers read through Generation, which records fdrms_store_read_ns
+// once telemetry is attached: one /topk and one /regret count one each.
+func TestServeReadsRecordReadLatency(t *testing.T) {
+	store := testStore(t, 100, 2)
+	reg := obs.NewRegistry()
+	tel := rms.NewTelemetry(reg)
+	store.SetTelemetry(tel)
+	srv := httptest.NewServer(newMux(memBackend{store: store}, tel, reg, false))
+	defer srv.Close()
+	get(t, srv, "/topk?u=0.5,0.5&k=3", 200)
+	get(t, srv, "/regret?u=0.5,0.5", 200)
+	for _, kind := range []string{"topk", "regret"} {
+		if got := reg.Histogram("fdrms_store_read_ns", "", obs.L("kind", kind)).Count(); got != 1 {
+			t.Fatalf("fdrms_store_read_ns{kind=%q} counted %d reads, want 1", kind, got)
+		}
+	}
+}

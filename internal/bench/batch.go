@@ -70,8 +70,8 @@ func fmtMicros(d time.Duration) string {
 // against the sequential one, so the table doubles as an end-to-end
 // equivalence check at bench scale. Alongside throughput, every timed call
 // feeds the per-op latency percentiles (p50/p99/max), which is where
-// tail-latency work — bounded cone-tree re-splits, the persistent worker
-// pool — shows up when the mean moves little.
+// tail-latency work — such as the persistent worker pool — shows up when
+// the mean moves little.
 func runStreams(t *Table, o Options, initial []geom.Point, cfg core.Config,
 	order []string, streams map[string][]topk.Op, sizes []int) {
 	var samples []time.Duration

@@ -112,8 +112,9 @@ func Replicate(o Options) *Table {
 	}
 	waitSeq(ds.LastSeq())
 	bootElapsed := time.Since(start)
-	t.AddRow("bootstrap", fmt.Sprint(ds.Len()), fmtDur(bootElapsed),
-		fmt.Sprintf("%.0f", float64(ds.Len())/bootElapsed.Seconds()), "-", "-", "-")
+	n := ds.Current().Len()
+	t.AddRow("bootstrap", fmt.Sprint(n), fmtDur(bootElapsed),
+		fmt.Sprintf("%.0f", float64(n)/bootElapsed.Seconds()), "-", "-", "-")
 
 	// push applies one batch on the primary and stamps its durable time for
 	// the lag probe.

@@ -100,15 +100,15 @@ func Serve(o Options) *Table {
 						start := time.Now()
 						switch kind {
 						case 0:
-							if len(store.Result()) > r {
+							if len(store.Current().Result()) > r {
 								rd.ok = false
 							}
 						case 1:
-							if _, err := store.TopK(u, 10); err != nil {
+							if _, err := store.Current().TopK(u, 10); err != nil {
 								rd.ok = false
 							}
 						case 2:
-							if _, err := store.RegretRatioFor(u); err != nil {
+							if _, err := store.Current().RegretRatioFor(u); err != nil {
 								rd.ok = false
 							}
 						}

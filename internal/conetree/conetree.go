@@ -14,11 +14,15 @@
 // below their minimum threshold are skipped — this is how FD-RMS touches
 // only the u(Δt) utilities whose approximate top-k results an insertion can
 // change (the top-down scheme of Yu et al., SIGMOD 2012).
+//
+// The indexed utilities are fixed at construction: FD-RMS samples its M
+// vectors once and Algorithm 4 moves m inside [r, M] on the set-cover side
+// only. The tree shape therefore never changes; only the thresholds move,
+// through SetThreshold.
 package conetree
 
 import (
 	"math"
-	"sort"
 
 	"fdrms/internal/geom"
 )
@@ -33,25 +37,16 @@ type Item struct {
 	Threshold float64
 }
 
-// Tree is a dynamic cone tree over utility vectors.
+// Tree is a static cone tree over utility vectors with mutable thresholds.
 type Tree struct {
 	root  *node
 	dim   int
 	items map[int]*entry
-	churn int // structural deletions since the last rebuild
 
 	// stack is the reusable DFS scratch of the probe path (AffectedInto,
 	// Visited). The tree is single-writer/single-prober, matching the topk
 	// engine's batch pipeline, which probes only between parallel phases.
 	stack []*node
-
-	// Maintenance counters: Rebuilds counts whole-tree rebuilds (the
-	// delete-churn threshold path and structural fallbacks), Resplits the
-	// localized leaf re-splits that replaced the insert-overflow rebuild.
-	// Tests use them to pin the tail-latency contract: steady insertion
-	// churn must not trigger whole-tree O(M log M) rebuilds.
-	Rebuilds int
-	Resplits int
 }
 
 type entry struct {
@@ -66,7 +61,7 @@ type node struct {
 	maxAngle    float64     // max angle(center, u) over the subtree
 	minThresh   float64     // min Threshold over the subtree
 	ids         []int       // leaf payload (nil for internal nodes)
-	count       int
+	count       int         // items in the subtree
 }
 
 // New builds a cone tree over the given items.
@@ -76,9 +71,8 @@ func New(dim int, items []Item) *Tree {
 		t.items[it.ID] = &entry{item: it} // duplicate ids: the last item wins
 	}
 	// One leaf slot per DISTINCT id (first-occurrence order keeps the build
-	// deterministic). Planting a duplicated id in two leaves would leave a
-	// phantom copy behind after Delete, and the next refreshLeaf of the
-	// other leaf would dereference the no-longer-mapped id.
+	// deterministic): a duplicated id planted in two leaves would be
+	// reported twice by Affected.
 	ids := make([]int, 0, len(t.items))
 	seen := make(map[int]bool, len(t.items))
 	for _, it := range items {
@@ -149,16 +143,9 @@ func (t *Tree) farthestFrom(ids []int, u geom.Vector) int {
 	return best
 }
 
-// refreshLeaf recomputes a leaf's center, maxAngle, minThresh, and count
-// from its payload.
+// refreshLeaf computes a (non-empty) leaf's center, maxAngle, and
+// minThresh from its payload.
 func (t *Tree) refreshLeaf(n *node) {
-	n.count = len(n.ids)
-	if n.count == 0 {
-		n.center = nil
-		n.maxAngle = 0
-		n.minThresh = math.Inf(1)
-		return
-	}
 	center := make(geom.Vector, t.dim)
 	for _, id := range n.ids {
 		center = geom.Add(center, t.items[id].item.U)
@@ -178,41 +165,19 @@ func (t *Tree) refreshLeaf(n *node) {
 	}
 }
 
-// refreshInternal recomputes an internal node's summary from its children.
-// Children with count 0 are ignored.
+// refreshInternal computes an internal node's summary from its two
+// (non-empty) children.
 func (t *Tree) refreshInternal(n *node) {
-	n.count = 0
-	n.minThresh = math.Inf(1)
-	var weighted geom.Vector
-	for _, c := range []*node{n.left, n.right} {
-		if c == nil || c.count == 0 {
-			continue
-		}
-		n.count += c.count
-		if c.minThresh < n.minThresh {
-			n.minThresh = c.minThresh
-		}
-		w := geom.Scale(c.center, float64(c.count))
-		if weighted == nil {
-			weighted = w
-		} else {
-			weighted = geom.Add(weighted, w)
-		}
-	}
-	if n.count == 0 {
-		n.center = nil
-		n.maxAngle = 0
-		return
-	}
+	n.minThresh = minThreshOf(n)
+	weighted := geom.Add(
+		geom.Scale(n.left.center, float64(n.left.count)),
+		geom.Scale(n.right.center, float64(n.right.count)))
 	geom.Normalize(weighted)
 	n.center = weighted
 	// Conservative bound: a child's members are within child.maxAngle of the
 	// child center, which is within angle(center, child.center) of ours.
 	n.maxAngle = 0
-	for _, c := range []*node{n.left, n.right} {
-		if c == nil || c.count == 0 {
-			continue
-		}
+	for _, c := range [2]*node{n.left, n.right} {
 		if a := geom.Angle(n.center, c.center) + c.maxAngle; a > n.maxAngle {
 			n.maxAngle = a
 		}
@@ -220,113 +185,6 @@ func (t *Tree) refreshInternal(n *node) {
 	if n.maxAngle > math.Pi {
 		n.maxAngle = math.Pi
 	}
-}
-
-// Insert adds a utility vector. Inserting an existing ID replaces it.
-func (t *Tree) Insert(it Item) {
-	if _, ok := t.items[it.ID]; ok {
-		t.Delete(it.ID)
-	}
-	e := &entry{item: it}
-	t.items[it.ID] = e
-	if t.root == nil || t.root.count == 0 {
-		t.rebuild()
-		return
-	}
-	n := t.root
-	for n.ids == nil {
-		// Descend toward the child whose center is angularly closer,
-		// enlarging the cone along the way so bounds stay valid.
-		if a := geom.Angle(n.center, it.U); a > n.maxAngle {
-			n.maxAngle = a
-		}
-		if it.Threshold < n.minThresh {
-			n.minThresh = it.Threshold
-		}
-		n.count++
-		l, r := n.left, n.right
-		switch {
-		case l == nil || l.count == 0:
-			n = r
-		case r == nil || r.count == 0:
-			n = l
-		case geom.CosAngle(l.center, it.U) >= geom.CosAngle(r.center, it.U):
-			n = l
-		default:
-			n = r
-		}
-	}
-	n.ids = append(n.ids, it.ID)
-	e.leaf = n
-	if a := geom.Angle(n.center, it.U); a > n.maxAngle {
-		n.maxAngle = a
-	}
-	if it.Threshold < n.minThresh {
-		n.minThresh = it.Threshold
-	}
-	n.count++
-	if len(n.ids) > 4*leafCapacity {
-		t.splitLeaf(n) // keep leaves from degenerating into linear scans
-	}
-}
-
-// splitLeaf re-splits a single overflowing leaf into a fresh subtree built
-// over its payload, splicing it in place and tightening the summaries along
-// the leaf-to-root path. This replaces the whole-tree rebuild the insert
-// path used to trigger on leaf overflow: the work is O(|leaf| log |leaf|)
-// instead of O(M log M), bounding insert tail latency, while Affected
-// results are unchanged — leaf checks are exact and the refreshed ancestor
-// bounds stay conservative (they only tighten). The delete-churn threshold
-// path keeps the full rebuild, which also re-balances the split hierarchy.
-//
-// A leaf whose members all share one direction cannot split (build falls
-// back to a single oversized leaf); the attempt costs O(|leaf|) per insert
-// past overflow — still strictly cheaper than the full rebuild this path
-// used to run, which hit the same degeneracy at O(M) — and the rebuilt
-// leaf is spliced in anyway, since build already repointed its members'
-// entry.leaf and the splice is the O(1) way to keep them consistent.
-// Resplits counts only attempts that actually split, so the tail-latency
-// regression tests stay meaningful.
-func (t *Tree) splitLeaf(leaf *node) {
-	sub := t.build(leaf.parent, leaf.ids)
-	if sub.ids == nil {
-		t.Resplits++
-	}
-	if leaf.parent == nil {
-		t.root = sub
-	} else if leaf.parent.left == leaf {
-		leaf.parent.left = sub
-	} else {
-		leaf.parent.right = sub
-	}
-	for n := sub.parent; n != nil; n = n.parent {
-		t.refreshInternal(n)
-	}
-}
-
-// Delete removes a utility vector by id; it reports whether it was present.
-func (t *Tree) Delete(id int) bool {
-	e, ok := t.items[id]
-	if !ok {
-		return false
-	}
-	delete(t.items, id)
-	leaf := e.leaf
-	for i, x := range leaf.ids {
-		if x == id {
-			leaf.ids = append(leaf.ids[:i], leaf.ids[i+1:]...)
-			break
-		}
-	}
-	t.refreshLeaf(leaf)
-	for n := leaf.parent; n != nil; n = n.parent {
-		t.refreshInternal(n)
-	}
-	t.churn++
-	if t.churn > len(t.items)/2+leafCapacity {
-		t.rebuild()
-	}
-	return true
 }
 
 // SetThreshold updates the pruning threshold for id and repairs subtree
@@ -346,14 +204,19 @@ func (t *Tree) SetThreshold(id int, tau float64) {
 	}
 	leaf.minThresh = min
 	for n := leaf.parent; n != nil; n = n.parent {
-		min = math.Inf(1)
-		for _, c := range []*node{n.left, n.right} {
-			if c != nil && c.count > 0 && c.minThresh < min {
-				min = c.minThresh
-			}
-		}
-		n.minThresh = min
+		n.minThresh = minThreshOf(n)
 	}
+}
+
+// minThreshOf is the smaller of an internal node's children's minThresh.
+func minThreshOf(n *node) float64 {
+	min := math.Inf(1)
+	for _, c := range [2]*node{n.left, n.right} {
+		if c.minThresh < min {
+			min = c.minThresh
+		}
+	}
+	return min
 }
 
 // Threshold returns the current threshold of id.
@@ -363,23 +226,6 @@ func (t *Tree) Threshold(id int) (float64, bool) {
 		return 0, false
 	}
 	return e.item.Threshold, true
-}
-
-func (t *Tree) rebuild() {
-	t.Rebuilds++
-	ids := make([]int, 0, len(t.items))
-	//fdrms:orderinvariant key collection only; sorted on the next line before any use
-	for id := range t.items {
-		ids = append(ids, id)
-	}
-	// Canonical input order: build() picks pivots positionally (ids[0],
-	// scan-order ties in farthestFrom), so the tree SHAPE is a function of
-	// the id order. Sorting makes every rebuild of the same id set produce
-	// the same tree — probe order, visited counts, and perf are then
-	// reproducible run to run instead of following map iteration order.
-	sort.Ints(ids)
-	t.root = t.build(nil, ids)
-	t.churn = 0
 }
 
 // Affected returns the IDs of every indexed utility u with
@@ -396,7 +242,7 @@ func (t *Tree) Affected(p geom.Point) []int {
 // tree's DFS scratch have warmed up. Matches are appended in leaf order
 // (left subtree before right), the order the recursive walk produced.
 func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
-	if t.root == nil || t.root.count == 0 {
+	if t.root == nil {
 		return out
 	}
 	normP := geom.Norm(p.Coords)
@@ -404,9 +250,6 @@ func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n == nil || n.count == 0 {
-			continue
-		}
 		// Upper bound of <u, p> over the cone.
 		theta := geom.Angle(n.center, p.Coords) - n.maxAngle
 		if theta < 0 {
@@ -426,8 +269,7 @@ func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
 		}
 		stack = append(stack, n.right, n.left)
 	}
-	clear(stack[:cap(stack)]) // drop node references so rebuilds free old nodes
-	t.stack = stack[:0]
+	t.stack = stack
 	return out
 }
 
@@ -435,7 +277,7 @@ func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
 // it is Affected without the final filter and exists for the cone-pruning
 // ablation experiment.
 func (t *Tree) Visited(p geom.Point) int {
-	if t.root == nil || t.root.count == 0 {
+	if t.root == nil {
 		return 0
 	}
 	normP := geom.Norm(p.Coords)
@@ -444,9 +286,6 @@ func (t *Tree) Visited(p geom.Point) int {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if n == nil || n.count == 0 {
-			continue
-		}
 		theta := geom.Angle(n.center, p.Coords) - n.maxAngle
 		if theta < 0 {
 			theta = 0
@@ -460,7 +299,6 @@ func (t *Tree) Visited(p geom.Point) int {
 		}
 		stack = append(stack, n.right, n.left)
 	}
-	clear(stack[:cap(stack)]) // drop node references so rebuilds free old nodes
-	t.stack = stack[:0]
+	t.stack = stack
 	return count
 }

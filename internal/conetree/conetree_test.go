@@ -53,8 +53,8 @@ func sortedCopy(xs []int) []int {
 	return out
 }
 
-// sortedIDs returns the reference model's ids in ascending order. Churn
-// tests pick their victims through it so a failing seed replays the exact
+// sortedIDs returns the reference model's ids in ascending order. Property
+// tests pick their targets through it so a failing seed replays the exact
 // same operation schedule instead of one sampled from map iteration order.
 func sortedIDs(ref map[int]Item) []int {
 	ids := make([]int, 0, len(ref))
@@ -109,39 +109,6 @@ func TestAffectedEmptyTree(t *testing.T) {
 	}
 }
 
-func TestInsertDeleteChurn(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := 4
-	tr := New(d, nil)
-	ref := make(map[int]Item)
-	next := 0
-	for op := 0; op < 1500; op++ {
-		switch {
-		case rng.Intn(3) != 0 || len(ref) == 0:
-			it := randomItems(rng, 1, d)[0]
-			it.ID = next
-			next++
-			tr.Insert(it)
-			ref[it.ID] = it
-		default:
-			id := sortedIDs(ref)[rng.Intn(len(ref))]
-			if !tr.Delete(id) {
-				t.Fatalf("Delete(%d) reported missing", id)
-			}
-			delete(ref, id)
-		}
-		if tr.Len() != len(ref) {
-			t.Fatalf("Len = %d, want %d", tr.Len(), len(ref))
-		}
-		if op%50 == 0 {
-			p := randomPoint(rng, d)
-			if !equalInts(sortedCopy(tr.Affected(p)), bruteAffected(ref, p)) {
-				t.Fatalf("Affected mismatch after op %d", op)
-			}
-		}
-	}
-}
-
 func TestSetThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := 3
@@ -173,32 +140,6 @@ func TestSetThreshold(t *testing.T) {
 		t.Fatal("Threshold of missing id should report !ok")
 	}
 	tr.SetThreshold(99999, 1) // must be a harmless no-op
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr := New(2, []Item{{ID: 0, U: geom.Vector{1, 0}, Threshold: 0.5}})
-	if tr.Delete(7) {
-		t.Fatal("deleting missing id should report false")
-	}
-	if !tr.Delete(0) {
-		t.Fatal("delete existing id should report true")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after delete", tr.Len())
-	}
-}
-
-func TestInsertReplacesSameID(t *testing.T) {
-	tr := New(2, []Item{{ID: 0, U: geom.Vector{1, 0}, Threshold: 0.5}})
-	tr.Insert(Item{ID: 0, U: geom.Vector{0, 1}, Threshold: 0.1})
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
-	}
-	// p scores 0.9 on axis y: only the new direction with threshold 0.1 matches.
-	got := tr.Affected(geom.NewPoint(0, 0.0, 0.9))
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("Affected = %v", got)
-	}
 }
 
 func TestIdenticalDirections(t *testing.T) {
@@ -253,40 +194,24 @@ func TestPruningEffective(t *testing.T) {
 	}
 }
 
-// Property: Affected is exact under random mixed operations.
+// Property: Affected is exact under random threshold updates.
 func TestAffectedExactQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		d := 2 + rng.Intn(4)
-		tr := New(d, nil)
-		ref := make(map[int]Item)
-		next := 0
+		items := randomItems(rng, 1+rng.Intn(40), d)
+		tr := New(d, items)
+		ref := make(map[int]Item, len(items))
+		for _, it := range items {
+			ref[it.ID] = it
+		}
 		for op := 0; op < 60; op++ {
-			switch rng.Intn(4) {
-			case 0, 1:
-				it := randomItems(rng, 1, d)[0]
-				it.ID = next
-				next++
-				tr.Insert(it)
-				ref[it.ID] = it
-			case 2:
-				if len(ref) == 0 {
-					continue
-				}
-				id := sortedIDs(ref)[rng.Intn(len(ref))]
-				tr.Delete(id)
-				delete(ref, id)
-			case 3:
-				if len(ref) == 0 {
-					continue
-				}
-				id := sortedIDs(ref)[rng.Intn(len(ref))]
-				tau := rng.Float64()
-				tr.SetThreshold(id, tau)
-				it := ref[id]
-				it.Threshold = tau
-				ref[id] = it
-			}
+			id := sortedIDs(ref)[rng.Intn(len(ref))]
+			tau := rng.Float64()
+			tr.SetThreshold(id, tau)
+			it := ref[id]
+			it.Threshold = tau
+			ref[id] = it
 		}
 		p := randomPoint(rng, d)
 		return equalInts(sortedCopy(tr.Affected(p)), bruteAffected(ref, p))
@@ -296,11 +221,8 @@ func TestAffectedExactQuick(t *testing.T) {
 	}
 }
 
-// New must deduplicate ids: building from a slice with repeated ids used to
-// plant the same id in two leaf slots, and the first Delete left a phantom
-// copy whose next refreshLeaf dereferenced the no-longer-mapped id (nil
-// panic). The last item of a duplicated id wins, matching Insert's replace
-// semantics.
+// New must deduplicate ids: a slice with repeated ids must not plant the
+// same id in two leaf slots. The last item of a duplicated id wins.
 func TestNewDuplicateIDs(t *testing.T) {
 	items := []Item{
 		{ID: 0, U: geom.Vector{1, 0}, Threshold: 0.9},
@@ -316,24 +238,9 @@ func TestNewDuplicateIDs(t *testing.T) {
 	if !equalInts(got, []int{0}) {
 		t.Fatalf("Affected = %v, want [0]", got)
 	}
-	// Deleting the duplicated id must not leave a phantom leaf entry: the
-	// follow-up delete (and its refreshLeaf) used to nil-panic.
-	if !tr.Delete(0) {
-		t.Fatal("Delete(0) reported missing")
-	}
-	if !tr.Delete(1) {
-		t.Fatal("Delete(1) reported missing")
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after deleting everything", tr.Len())
-	}
-	if got := tr.Affected(geom.NewPoint(0, 1, 1)); got != nil {
-		t.Fatalf("emptied tree Affected = %v", got)
-	}
 }
 
-// Many duplicates spanning several leaves, checked against brute force
-// after deleting the duplicated ids.
+// Many duplicates spanning several leaves, checked against brute force.
 func TestNewDuplicateIDsManyLeaves(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := 3
@@ -347,14 +254,10 @@ func TestNewDuplicateIDsManyLeaves(t *testing.T) {
 	for _, it := range base {
 		ref[it.ID] = it
 	}
-	for id := 0; id < 20; id++ {
-		if !tr.Delete(id) {
-			t.Fatalf("Delete(%d) reported missing", id)
-		}
-		delete(ref, id)
+	for q := 0; q < 20; q++ {
 		p := randomPoint(rng, d)
 		if !equalInts(sortedCopy(tr.Affected(p)), bruteAffected(ref, p)) {
-			t.Fatalf("Affected mismatch after deleting %d", id)
+			t.Fatalf("Affected mismatch on query %d", q)
 		}
 	}
 }
@@ -371,89 +274,5 @@ func BenchmarkAffected(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Affected(pts[i%len(pts)])
-	}
-}
-
-// Insert-driven leaf overflow must be repaired by a LOCAL re-split of the
-// overflowing leaf, never by a whole-tree rebuild — the O(M log M) rebuild
-// is what used to put utility-churn spikes in the update tail. Affected
-// results must be exactly what a freshly built tree reports throughout.
-func TestInsertOverflowResplitsLocally(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d := 5
-	base := randomItems(rng, 64, d)
-	tr := New(d, base)
-	ref := make(map[int]Item, len(base))
-	for _, it := range base {
-		ref[it.ID] = it
-	}
-	if tr.Rebuilds != 0 {
-		t.Fatalf("New counted %d rebuilds", tr.Rebuilds)
-	}
-	// Insert enough churn to overflow many leaves many times over.
-	extra := randomItems(rng, 512, d)
-	for i, it := range extra {
-		it.ID = 1000 + i
-		tr.Insert(it)
-		ref[it.ID] = it
-	}
-	if tr.Rebuilds != 0 {
-		t.Fatalf("insert churn triggered %d whole-tree rebuilds; overflow must re-split locally", tr.Rebuilds)
-	}
-	if tr.Resplits == 0 {
-		t.Fatal("512 insertions never overflowed a leaf; the scenario lost its teeth")
-	}
-	for q := 0; q < 50; q++ {
-		p := randomPoint(rng, d)
-		if got, want := sortedCopy(tr.Affected(p)), bruteAffected(ref, p); !equalInts(got, want) {
-			t.Fatalf("Affected mismatch after re-splits\n got %v\nwant %v", got, want)
-		}
-	}
-	// The delete-churn threshold path must still rebuild the whole tree.
-	for _, id := range sortedIDs(ref) {
-		tr.Delete(id)
-		delete(ref, id)
-		if len(ref) < 64 {
-			break
-		}
-	}
-	if tr.Rebuilds == 0 {
-		t.Fatal("delete churn past the threshold should still trigger a full rebuild")
-	}
-	p := randomPoint(rng, d)
-	if got, want := sortedCopy(tr.Affected(p)), bruteAffected(ref, p); !equalInts(got, want) {
-		t.Fatalf("Affected mismatch after churn rebuild\n got %v\nwant %v", got, want)
-	}
-}
-
-// A degenerate leaf (identical directions) cannot split; the re-split
-// attempt must leave the tree correct and not loop into a rebuild.
-func TestInsertOverflowDegenerateLeaf(t *testing.T) {
-	d := 3
-	u := geom.Vector{1, 0, 0}
-	var items []Item
-	for i := 0; i < 4; i++ {
-		items = append(items, Item{ID: i, U: append(geom.Vector(nil), u...), Threshold: 0.5})
-	}
-	tr := New(d, items)
-	ref := make(map[int]Item)
-	for _, it := range items {
-		ref[it.ID] = it
-	}
-	for i := 4; i < 96; i++ {
-		it := Item{ID: i, U: append(geom.Vector(nil), u...), Threshold: 0.5}
-		tr.Insert(it)
-		ref[i] = it
-	}
-	if tr.Rebuilds != 0 {
-		t.Fatalf("degenerate overflow triggered %d whole-tree rebuilds", tr.Rebuilds)
-	}
-	p := geom.Point{ID: 0, Coords: geom.Vector{1, 1, 1}}
-	if got, want := sortedCopy(tr.Affected(p)), bruteAffected(ref, p); !equalInts(got, want) {
-		t.Fatalf("Affected mismatch on degenerate leaf\n got %v\nwant %v", got, want)
-	}
-	p = geom.Point{ID: 0, Coords: geom.Vector{0.1, 0.1, 0.1}}
-	if got, want := sortedCopy(tr.Affected(p)), bruteAffected(ref, p); !equalInts(got, want) {
-		t.Fatalf("Affected mismatch below threshold\n got %v\nwant %v", got, want)
 	}
 }

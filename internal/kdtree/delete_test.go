@@ -232,13 +232,16 @@ func TestDeleteDefensiveRebuildDuringRetain(t *testing.T) {
 
 	// The read at epoch base+1 (after the first delete only) must still see
 	// ids 1 and 2 and miss id 0.
-	if got := tr.TopKAt(u, 5, base+1); !sameResults(got, wantAfter1) {
+	var sc QueryScratch
+	if got := tr.TopKAtInto(u, 5, base+1, &sc); !sameResults(got, wantAfter1) {
 		t.Fatalf("as-of read after defensive rebuild: got %v want %v", got, wantAfter1)
 	}
-	if tr.ContainsAt(0, base+1) {
+	if _, ok := tr.PointByIDAt(0, base+1); ok {
 		t.Fatal("id 0 visible after its tombstone epoch")
 	}
-	if !tr.ContainsAt(1, base+1) || !tr.ContainsAt(2, base+1) {
+	_, ok1 := tr.PointByIDAt(1, base+1)
+	_, ok2 := tr.PointByIDAt(2, base+1)
+	if !ok1 || !ok2 {
 		t.Fatal("later-deleted ids invisible at earlier epoch")
 	}
 	tr.EndRetain()

@@ -49,6 +49,7 @@ func TestAsOfReadsDuringDeleteRun(t *testing.T) {
 		t.Fatalf("epoch after run = %d, want %d", got, want)
 	}
 
+	var sc QueryScratch
 	for off, state := range snapshots {
 		e := base + uint64(off)
 		cur := make([]geom.Point, 0, len(state))
@@ -57,32 +58,29 @@ func TestAsOfReadsDuringDeleteRun(t *testing.T) {
 		}
 		for q := 0; q < 6; q++ {
 			u := randomUnit(rng, d)
-			if !sameResults(tr.TopKAt(u, 5, e), bruteTopK(cur, u, 5)) {
-				t.Fatalf("TopKAt mismatch at epoch offset %d", off)
+			if !sameResults(tr.TopKAtInto(u, 5, e, &sc), bruteTopK(cur, u, 5)) {
+				t.Fatalf("TopKAtInto mismatch at epoch offset %d", off)
 			}
 			tau := rng.Float64()
 			got := make(map[int]bool)
-			for _, r := range tr.AtLeastAt(u, tau, e) {
+			for _, r := range tr.AtLeastAtInto(u, tau, e, &sc) {
 				got[r.Point.ID] = true
 			}
 			for _, p := range cur {
 				if (geom.Score(u, p) >= tau) != got[p.ID] {
-					t.Fatalf("AtLeastAt mismatch at epoch offset %d", off)
+					t.Fatalf("AtLeastAtInto mismatch at epoch offset %d", off)
 				}
 			}
-			if s, ok := tr.KthScoreAt(u, 5, e); ok {
+			if s, ok := tr.KthScoreAtInto(u, 5, e, &sc); ok {
 				if want := bruteTopK(cur, u, 5); s != want[len(want)-1].Score {
-					t.Fatalf("KthScoreAt mismatch at epoch offset %d", off)
+					t.Fatalf("KthScoreAtInto mismatch at epoch offset %d", off)
 				}
 			} else if len(cur) > 0 {
-				t.Fatalf("KthScoreAt !ok with %d live points", len(cur))
+				t.Fatalf("KthScoreAtInto !ok with %d live points", len(cur))
 			}
 		}
 		for _, p := range pts {
 			_, in := state[p.ID]
-			if tr.ContainsAt(p.ID, e) != in {
-				t.Fatalf("ContainsAt(%d, +%d) = %v, want %v", p.ID, off, !in, in)
-			}
 			got, ok := tr.PointByIDAt(p.ID, e)
 			if ok != in {
 				t.Fatalf("PointByIDAt(%d, +%d) ok = %v, want %v", p.ID, off, ok, in)
@@ -125,13 +123,14 @@ func TestEpochVisibilityOfInserts(t *testing.T) {
 	}
 	tr.Insert(geom.NewPoint(2, 1.0, 1.0))
 	u := geom.Vector{1, 0}
-	if got := tr.TopKAt(u, 1, e1); len(got) != 1 || got[0].Point.ID != 1 {
+	var sc QueryScratch
+	if got := tr.TopKAtInto(u, 1, e1, &sc); len(got) != 1 || got[0].Point.ID != 1 {
 		t.Fatalf("as-of read sees later insert: %v", got)
 	}
-	if tr.ContainsAt(2, e1) {
-		t.Fatal("ContainsAt sees later insert")
+	if _, ok := tr.PointByIDAt(2, e1); ok {
+		t.Fatal("PointByIDAt sees later insert")
 	}
-	if !tr.ContainsAt(2, tr.Epoch()) {
+	if _, ok := tr.PointByIDAt(2, tr.Epoch()); !ok {
 		t.Fatal("present read misses live point")
 	}
 	// A replacing insert advances the epoch twice (delete + insert) and the
@@ -145,7 +144,7 @@ func TestEpochVisibilityOfInserts(t *testing.T) {
 	if p, ok := tr.PointByIDAt(2, base); !ok || p.Coords[0] != 1.0 {
 		t.Fatalf("old copy invisible at window base: %v %v", p, ok)
 	}
-	if tr.ContainsAt(2, base+1) {
+	if _, ok := tr.PointByIDAt(2, base+1); ok {
 		t.Fatal("intermediate epoch must see no copy of a replaced id")
 	}
 	if p, ok := tr.PointByIDAt(2, base+2); !ok || p.Coords[0] != 0.1 {

@@ -7,8 +7,6 @@
 //     because utility vectors are nonnegative);
 //   - AtLeast: every tuple with score >= a threshold, which yields the
 //     ε-approximate top-k set Φ_{k,ε};
-//   - NearestK: Euclidean k-nearest-neighbours, used by the MIPS-to-kNN
-//     reduction of Bachrach et al. (see mips.go) that the paper cites;
 //   - Insert and Delete with tombstoning and automatic rebuilds.
 //
 // # Arena layout
@@ -29,8 +27,8 @@
 //
 // Every mutation advances the tree's epoch: nodes carry the epoch of their
 // insertion and (for tombstones) of their deletion, so a point is visible
-// as of epoch e when ins <= e < del. The At-suffixed queries (TopKAt,
-// AtLeastAt, ContainsAt, PointByIDAt, KthScoreAt) evaluate against the
+// as of epoch e when ins <= e < del. The At-suffixed queries (TopKAtInto,
+// AtLeastAtInto, KthScoreAtInto, PointByIDAt) evaluate against the
 // database as it stood after the mutation that produced epoch e, while the
 // plain methods read the present. Historic reads need the relevant
 // tombstones to still be physically present, which a retain window
@@ -311,12 +309,6 @@ func (t *Tree) Contains(id int) bool {
 	return ok
 }
 
-// ContainsAt reports whether a point with the given id was live as of epoch e.
-func (t *Tree) ContainsAt(id int, e uint64) bool {
-	_, ok := t.PointByIDAt(id, e)
-	return ok
-}
-
 // PointByID returns the live point with the given id.
 func (t *Tree) PointByID(id int) (geom.Point, bool) {
 	le, ok := t.byID[id]
@@ -563,13 +555,8 @@ type Result struct {
 // never of the tree's internal shape (which rebuild timing perturbs).
 // The slice is freshly allocated; hot paths should use TopKInto.
 func (t *Tree) TopK(u geom.Vector, k int) []Result {
-	return t.TopKAt(u, k, t.epoch)
-}
-
-// TopKAt is TopK against the database as of epoch e.
-func (t *Tree) TopKAt(u geom.Vector, k int, e uint64) []Result {
 	var sc QueryScratch
-	return copyResults(t.TopKAtInto(u, k, e, &sc))
+	return copyResults(t.TopKInto(u, k, &sc))
 }
 
 // TopKInto is TopK reusing the caller's scratch: the returned slice is
@@ -578,9 +565,9 @@ func (t *Tree) TopKInto(u geom.Vector, k int, sc *QueryScratch) []Result {
 	return t.TopKAtInto(u, k, t.epoch, sc)
 }
 
-// TopKAtInto is TopKAt reusing the caller's scratch: the returned slice is
-// backed by sc and valid only until the next query through it. A warmed-up
-// scratch makes the query allocation-free.
+// TopKAtInto is TopKInto against the database as of epoch e: the returned
+// slice is backed by sc and valid only until the next query through it. A
+// warmed-up scratch makes the query allocation-free.
 //
 // Two phases: a best-first branch-and-bound with strict pruning finds the
 // k best SCORES (the score multiset is shape-independent, the identities of
@@ -697,24 +684,6 @@ func sortResults(out []Result) {
 	})
 }
 
-// sortResultsAsc orders results by increasing score, then increasing point
-// ID (NearestK's distance ordering).
-func sortResultsAsc(out []Result) {
-	slices.SortFunc(out, func(a, b Result) int {
-		switch {
-		case a.Score < b.Score:
-			return -1
-		case a.Score > b.Score:
-			return 1
-		case a.Point.ID < b.Point.ID:
-			return -1
-		case a.Point.ID > b.Point.ID:
-			return 1
-		}
-		return 0
-	})
-}
-
 // copyResults clones a scratch-backed result slice into caller-owned memory.
 func copyResults(res []Result) []Result {
 	if res == nil {
@@ -729,18 +698,14 @@ func copyResults(res []Result) []Result {
 // When fewer than k live points exist it returns the smallest live score,
 // so every point counts as a top-k member; ok is false on an empty tree.
 func (t *Tree) KthScore(u geom.Vector, k int) (score float64, ok bool) {
-	return t.KthScoreAt(u, k, t.epoch)
-}
-
-// KthScoreAt is KthScore against the database as of epoch e.
-func (t *Tree) KthScoreAt(u geom.Vector, k int, e uint64) (score float64, ok bool) {
 	var sc QueryScratch
-	return t.KthScoreAtInto(u, k, e, &sc)
+	return t.KthScoreAtInto(u, k, t.epoch, &sc)
 }
 
-// KthScoreAtInto is KthScoreAt reusing the caller's scratch. Only the kth
-// SCORE is needed, which phase 1 determines exactly, so the identity-
-// resolving tie sweep of TopKAtInto is skipped entirely.
+// KthScoreAtInto is KthScore against the database as of epoch e, reusing
+// the caller's scratch. Only the kth SCORE is needed, which phase 1
+// determines exactly, so the identity-resolving tie sweep of TopKAtInto is
+// skipped entirely.
 func (t *Tree) KthScoreAtInto(u geom.Vector, k int, e uint64, sc *QueryScratch) (score float64, ok bool) {
 	return t.arena.kthScoreAtInto(u, k, e, sc)
 }
@@ -760,13 +725,8 @@ func (a *arena) kthScoreAtInto(u geom.Vector, k int, e uint64, sc *QueryScratch)
 // order. This realizes Φ_{k,ε} when tau = (1-ε)·ω_k. The slice is freshly
 // allocated; hot paths should use AtLeastInto.
 func (t *Tree) AtLeast(u geom.Vector, tau float64) []Result {
-	return t.AtLeastAt(u, tau, t.epoch)
-}
-
-// AtLeastAt is AtLeast against the database as of epoch e.
-func (t *Tree) AtLeastAt(u geom.Vector, tau float64, e uint64) []Result {
 	var sc QueryScratch
-	out := t.AtLeastAtInto(u, tau, e, &sc)
+	out := t.AtLeastInto(u, tau, &sc)
 	if len(out) == 0 {
 		return nil
 	}
@@ -779,9 +739,9 @@ func (t *Tree) AtLeastInto(u geom.Vector, tau float64, sc *QueryScratch) []Resul
 	return t.AtLeastAtInto(u, tau, t.epoch, sc)
 }
 
-// AtLeastAtInto is AtLeastAt reusing the caller's scratch: the returned
-// slice is backed by sc and valid only until the next query through it.
-// A warmed-up scratch makes the query allocation-free.
+// AtLeastAtInto is AtLeastInto against the database as of epoch e: the
+// returned slice is backed by sc and valid only until the next query
+// through it. A warmed-up scratch makes the query allocation-free.
 func (t *Tree) AtLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScratch) []Result {
 	return t.arena.atLeastAtInto(u, tau, e, sc)
 }
@@ -826,18 +786,5 @@ func (a *arena) atLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScr
 	}
 	sc.out = out
 	sc.stack = stack
-	return out
-}
-
-// ApproxTopK returns Φ_{k,ε}(u, P): all live points whose score is at least
-// (1-ε)·ω_k(u, P). The slice is sorted by decreasing score.
-func (t *Tree) ApproxTopK(u geom.Vector, k int, eps float64) []Result {
-	var sc QueryScratch
-	kth, ok := t.KthScoreAtInto(u, k, t.epoch, &sc)
-	if !ok {
-		return nil
-	}
-	out := copyResults(t.AtLeastAtInto(u, (1-eps)*kth, t.epoch, &sc))
-	sortResults(out)
 	return out
 }

@@ -88,9 +88,6 @@ func TestTopKEdgeCases(t *testing.T) {
 	if got := tr.TopK(geom.Vector{1, 0}, 3); got != nil {
 		t.Fatalf("empty tree TopK = %v", got)
 	}
-	if got := tr.NearestK(geom.Vector{1, 0}, 3); got != nil {
-		t.Fatalf("empty tree NearestK = %v", got)
-	}
 	tr.Insert(geom.NewPoint(0, 0.5, 0.5))
 	if got := tr.TopK(geom.Vector{1, 0}, 0); got != nil {
 		t.Fatalf("k=0 TopK = %v", got)
@@ -122,6 +119,20 @@ func TestAtLeastMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// approxTopK composes Φ_{k,ε}(u, P) from the *Into kernels the top-k
+// engine uses: every live point scoring at least (1-ε)·ω_k, sorted by
+// decreasing score.
+func approxTopK(tr *Tree, u geom.Vector, k int, eps float64) []Result {
+	var sc QueryScratch
+	kth, ok := tr.KthScoreAtInto(u, k, tr.Epoch(), &sc)
+	if !ok {
+		return nil
+	}
+	out := copyResults(tr.AtLeastInto(u, (1-eps)*kth, &sc))
+	sortResults(out)
+	return out
+}
+
 func TestApproxTopKContainsTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randomPoints(rng, 300, 4)
@@ -129,7 +140,7 @@ func TestApproxTopKContainsTopK(t *testing.T) {
 	u := randomUnit(rng, 4)
 	for _, k := range []int{1, 3, 10} {
 		top := tr.TopK(u, k)
-		approx := tr.ApproxTopK(u, k, 0.05)
+		approx := approxTopK(tr, u, k, 0.05)
 		member := make(map[int]bool)
 		for _, r := range approx {
 			member[r.Point.ID] = true
@@ -153,7 +164,7 @@ func TestApproxTopKFewerThanK(t *testing.T) {
 	pts := []geom.Point{geom.NewPoint(0, 0.9, 0.1), geom.NewPoint(1, 0.1, 0.9)}
 	tr := New(2, pts)
 	// k=5 > n=2: everything is a top-k member.
-	res := tr.ApproxTopK(geom.Vector{1, 0}, 5, 0.1)
+	res := approxTopK(tr, geom.Vector{1, 0}, 5, 0.1)
 	if len(res) != 2 {
 		t.Fatalf("want both points, got %v", res)
 	}
@@ -268,57 +279,6 @@ func TestKthScore(t *testing.T) {
 	empty := New(2, nil)
 	if _, ok := empty.KthScore(u, 1); ok {
 		t.Fatal("empty tree KthScore should report !ok")
-	}
-}
-
-func TestNearestKMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
-		n, d := 1+rng.Intn(200), 2+rng.Intn(4)
-		pts := randomPoints(rng, n, d)
-		tr := New(d, pts)
-		q := make(geom.Vector, d)
-		for j := range q {
-			q[j] = rng.Float64()
-		}
-		k := 1 + rng.Intn(8)
-		got := tr.NearestK(q, k)
-		want := make([]Result, 0, len(pts))
-		for _, p := range pts {
-			want = append(want, Result{p, geom.Dist(q, p.Coords)})
-		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].Score != want[j].Score {
-				return want[i].Score < want[j].Score
-			}
-			return want[i].Point.ID < want[j].Point.ID
-		})
-		if len(want) > k {
-			want = want[:k]
-		}
-		if !sameResults(got, want) {
-			t.Fatalf("NearestK mismatch\n got %v\nwant %v", got, want)
-		}
-	}
-}
-
-// The MIPS reduction must agree with direct branch-and-bound.
-func TestTransformedMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 15; trial++ {
-		n, d := 5+rng.Intn(150), 2+rng.Intn(4)
-		pts := randomPoints(rng, n, d)
-		tr := New(d, pts)
-		mips := NewTransformed(d, pts)
-		for q := 0; q < 5; q++ {
-			u := randomUnit(rng, d)
-			k := 1 + rng.Intn(5)
-			direct := tr.TopK(u, k)
-			viaKNN := mips.TopK(u, k, tr)
-			if !sameResults(direct, viaKNN) {
-				t.Fatalf("MIPS reduction mismatch\n got %v\nwant %v", viaKNN, direct)
-			}
-		}
 	}
 }
 

@@ -17,9 +17,9 @@
 // StartSnapshot captures a View, whose visibleAt(epoch) node filter yields
 // exactly the arm-point database regardless of later mutations. The UTILITY
 // side is a copy-on-first-write overlay: while a session is armed, the first
-// mutation that would touch a utility's state (insert-phase admission,
-// delete-phase repair, or RemoveUtility) first deep-copies that utility's
-// pre-image into its shard's overlay map. SnapshotChunk then reads the
+// mutation that would touch a utility's state (insert-phase admission or
+// delete-phase repair) first deep-copies that utility's pre-image into its
+// shard's overlay map. SnapshotChunk then reads the
 // overlay when present and the live state otherwise — a live state not in
 // the overlay is untouched since the arm, so both reads observe the
 // arm-point value. Workers only ever touch their own shard's overlay, so

@@ -62,8 +62,7 @@ type Change struct {
 }
 
 // uState is the maintained per-utility state. States live by value inside
-// their shard's slice; take fresh pointers via stateOf and never hold one
-// across a structural mutation (AddUtility may grow the slice).
+// their shard's slice, which is fixed once the engine is built.
 //
 // topk is a RUNNER-UP BUFFER: the exact top-L of the live database under
 // (score descending, point ID ascending), with k <= L <= maxTopK() while
@@ -91,7 +90,6 @@ type uState struct {
 type shard struct {
 	states []uState      // slice-backed storage, indexed by slot
 	slots  map[int]int   // utility id -> slot in states
-	free   []int         // recycled slots
 	sets   map[int][]int // pid -> sorted uids (this shard's part of S(p))
 
 	qs      kdtree.QueryScratch // per-shard tuple-index query scratch
@@ -112,31 +110,14 @@ func (sh *shard) state(uid int) *uState {
 	return nil
 }
 
-// put stores st under uid, reusing a free slot when available.
+// put stores st under uid (replacing an earlier state of the same id).
 func (sh *shard) put(uid int, st uState) {
 	if slot, ok := sh.slots[uid]; ok {
 		sh.states[slot] = st
 		return
 	}
-	if n := len(sh.free); n > 0 {
-		slot := sh.free[n-1]
-		sh.free = sh.free[:n-1]
-		sh.states[slot] = st
-		sh.slots[uid] = slot
-		return
-	}
 	sh.slots[uid] = len(sh.states)
 	sh.states = append(sh.states, st)
-}
-
-func (sh *shard) drop(uid int) {
-	slot, ok := sh.slots[uid]
-	if !ok {
-		return
-	}
-	sh.states[slot] = uState{}
-	sh.free = append(sh.free, slot)
-	delete(sh.slots, uid)
 }
 
 func (sh *shard) addToSet(pid, uid int) {
@@ -529,49 +510,4 @@ func indexOf(topk []kdtree.Result, id int) int {
 		}
 	}
 	return -1
-}
-
-// AddUtility registers a new utility (Algorithm 4 growing the universe) and
-// returns one Added change per member of its fresh Φ.
-func (e *Engine) AddUtility(ut Utility) []Change {
-	if e.stateOf(ut.ID) != nil {
-		e.RemoveUtility(ut.ID)
-	}
-	st := e.freshState(ut.U)
-	sh := &e.shards[e.shardFor(ut.ID)]
-	sh.put(ut.ID, st)
-	e.numUtils++
-	e.ui.Insert(conetree.Item{ID: ut.ID, U: ut.U, Threshold: e.thresholdOf(st.topk)})
-	changes := make([]Change, 0, len(st.phi))
-	//fdrms:orderinvariant addToSet sorted-inserts into disjoint per-pid lists and changes are sorted by PointID on the line after the loop
-	for pid := range st.phi {
-		sh.addToSet(pid, ut.ID)
-		changes = append(changes, Change{UtilityID: ut.ID, PointID: pid, Added: true})
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].PointID < changes[j].PointID })
-	return changes
-}
-
-// RemoveUtility drops a utility (Algorithm 4 shrinking the universe) and
-// returns one Removed change per former member.
-func (e *Engine) RemoveUtility(uid int) []Change {
-	sh := &e.shards[e.shardFor(uid)]
-	st := sh.state(uid)
-	if st == nil {
-		return nil
-	}
-	if e.snap.armed {
-		sh.snapTouch(uid, st) // preserve the pre-image for the armed capture
-	}
-	changes := make([]Change, 0, len(st.phi))
-	//fdrms:orderinvariant removeFromSet edits disjoint per-pid lists and changes are sorted by PointID on the line after the loop
-	for pid := range st.phi {
-		sh.removeFromSet(pid, uid)
-		changes = append(changes, Change{UtilityID: uid, PointID: pid, Added: false})
-	}
-	sort.Slice(changes, func(i, j int) bool { return changes[i].PointID < changes[j].PointID })
-	sh.drop(uid)
-	e.numUtils--
-	e.ui.Delete(uid)
-	return changes
 }

@@ -280,44 +280,6 @@ func TestFewerPointsThanK(t *testing.T) {
 	}
 }
 
-func TestAddRemoveUtility(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := 3
-	pts := randomPoints(rng, 50, d, 0)
-	utils := randomUtilities(rng, 6, d)
-	e := NewEngine(d, 2, 0.05, pts, utils)
-
-	nu := randomUtilities(rng, 1, d)[0]
-	nu.ID = 100
-	changes := e.AddUtility(nu)
-	want := brutePhi(nu.U, pts, 2, 0.05)
-	if len(changes) != len(want) {
-		t.Fatalf("AddUtility changes = %d, want %d", len(changes), len(want))
-	}
-	for _, c := range changes {
-		if !c.Added || c.UtilityID != 100 || !want[c.PointID] {
-			t.Fatalf("bad change %+v", c)
-		}
-	}
-	if e.NumUtilities() != 7 {
-		t.Fatalf("NumUtilities = %d", e.NumUtilities())
-	}
-
-	removed := e.RemoveUtility(100)
-	if len(removed) != len(want) {
-		t.Fatalf("RemoveUtility changes = %d, want %d", len(removed), len(want))
-	}
-	if e.NumUtilities() != 6 {
-		t.Fatalf("NumUtilities = %d after removal", e.NumUtilities())
-	}
-	if e.Members(100) != nil {
-		t.Fatal("membership should be gone")
-	}
-	if e.RemoveUtility(100) != nil {
-		t.Fatal("removing a missing utility should return nil")
-	}
-}
-
 func TestTopKAccessor(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d, k := 3, 4
@@ -346,8 +308,7 @@ func TestTopKAccessor(t *testing.T) {
 	}
 }
 
-// Property: membership stays exact under arbitrary mixed operations,
-// including utility churn.
+// Property: membership stays exact under arbitrary mixed operations.
 func TestEngineExactQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -362,10 +323,8 @@ func TestEngineExactQuick(t *testing.T) {
 			live[p.ID] = p
 		}
 		next := 1000
-		activeUtils := append([]Utility(nil), utils...)
-		nextU := 100
 		for op := 0; op < 50; op++ {
-			switch rng.Intn(5) {
+			switch rng.Intn(3) {
 			case 0, 1:
 				p := randomPoints(rng, 1, d, next)[0]
 				next++
@@ -378,19 +337,6 @@ func TestEngineExactQuick(t *testing.T) {
 				id := pickLive(rng, live)
 				e.Delete(id)
 				delete(live, id)
-			case 3:
-				u := randomUtilities(rng, 1, d)[0]
-				u.ID = nextU
-				nextU++
-				e.AddUtility(u)
-				activeUtils = append(activeUtils, u)
-			case 4:
-				if len(activeUtils) <= 1 {
-					continue
-				}
-				i := rng.Intn(len(activeUtils))
-				e.RemoveUtility(activeUtils[i].ID)
-				activeUtils = append(activeUtils[:i], activeUtils[i+1:]...)
 			}
 		}
 		cur := make([]geom.Point, 0, len(live))
@@ -398,7 +344,7 @@ func TestEngineExactQuick(t *testing.T) {
 		for _, p := range live {
 			cur = append(cur, p)
 		}
-		for _, ut := range activeUtils {
+		for _, ut := range utils {
 			want := brutePhi(ut.U, cur, k, eps)
 			got := e.Members(ut.ID)
 			if len(got) != len(want) {

@@ -73,9 +73,9 @@ func (o DurableOptions) withDefaults() DurableOptions {
 // verbatim and WAL replay is the same deterministic ApplyBatch path that
 // produced the state in the first place.
 //
-// Reads (Result, Len, Contains, Stats) are served by the embedded Store and
-// never touch the log. Writers serialize on the store's write lock plus the
-// log; a Checkpoint STREAMS its capture — it pins the state under the
+// Reads go through Current, served by the embedded Store, and never touch
+// the log. Writers serialize on the store's write lock plus the log; a
+// Checkpoint STREAMS its capture — it pins the state under the
 // writer lock (an O(arena) generation pin, not an O(state) copy), then
 // captures bounded chunks between writer batches and encodes and writes
 // off the lock entirely — so ingestion keeps flowing for the whole
@@ -262,7 +262,7 @@ func (ds *DurableStore) Insert(p Point) error {
 // is a no-op and is not logged.
 func (ds *DurableStore) Delete(id int) error {
 	return ds.durableWrite(func() (bool, error) {
-		if !ds.store.Contains(id) {
+		if !ds.store.Current().Contains(id) {
 			return false, nil
 		}
 		return true, ds.applyLocked([]Update{Del(id)})
@@ -361,22 +361,15 @@ func (ds *DurableStore) runAutoCheckpoint() error {
 // are the ops applied — the log-before-apply hinge cannot drift between two
 // validation copies.
 func (ds *DurableStore) applyLocked(batch []Update) error {
-	dim := ds.store.d.dim
-	ds.ops = ds.ops[:0]
-	for i, u := range batch {
-		if u.Delete {
-			ds.ops = append(ds.ops, topk.DeleteOp(u.ID))
-			continue
-		}
-		if len(u.Point.Values) != dim {
-			return fmt.Errorf("rms: batch[%d]: tuple has %d values, database has %d attributes", i, len(u.Point.Values), dim)
-		}
-		ds.ops = append(ds.ops, topk.InsertOp(toGeom(u.Point)))
-	}
-	if _, err := ds.log.Append(ds.ops); err != nil {
+	ops, err := toOps(ds.ops[:0], batch, ds.store.d.dim)
+	ds.ops = ops
+	if err != nil {
 		return err
 	}
-	ds.store.applyOps(ds.ops)
+	if _, err := ds.log.Append(ops); err != nil {
+		return err
+	}
+	ds.store.ApplyReplicated(ops)
 	ds.opsSinceCkpt += len(ds.ops)
 	ds.appliedSeq.Store(ds.log.LastSeq())
 	return nil
@@ -585,30 +578,6 @@ func (ds *DurableStore) SetRetainFloor(seq uint64) {
 // Dir returns the durability directory.
 func (ds *DurableStore) Dir() string { return ds.dir }
 
-// Result returns the current k-RMS answer (see Store.Result for the
-// snapshot-sharing contract).
-func (ds *DurableStore) Result() []Point { return ds.store.Result() }
-
-// Len returns the current database size.
-func (ds *DurableStore) Len() int { return ds.store.Len() }
-
-// Contains reports whether a tuple with the given ID is live.
-func (ds *DurableStore) Contains(id int) bool { return ds.store.Contains(id) }
-
-// Stats reports maintenance internals (see Dynamic.Stats).
-func (ds *DurableStore) Stats() core.Stats { return ds.store.Stats() }
-
 // Current returns the newest committed generation (see Store.Current):
 // lock-free repeatable reads pinned to one durable commit point.
 func (ds *DurableStore) Current() *Generation { return ds.store.Current() }
-
-// TopK queries the current generation's database (see Store.TopK).
-func (ds *DurableStore) TopK(utility []float64, k int) ([]Scored, error) {
-	return ds.store.TopK(utility, k)
-}
-
-// RegretRatioFor evaluates the current answer against one preference
-// (see Store.RegretRatioFor).
-func (ds *DurableStore) RegretRatioFor(utility []float64) (float64, error) {
-	return ds.store.RegretRatioFor(utility)
-}

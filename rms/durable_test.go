@@ -111,7 +111,7 @@ func TestDurableStoreRecoversCleanShutdown(t *testing.T) {
 	if !bytes.Equal(engineState(t, re.store.d.f), want) {
 		t.Fatal("recovered state differs from the uninterrupted run")
 	}
-	if !reflect.DeepEqual(re.Result(), ref.Result()) {
+	if !reflect.DeepEqual(re.Current().Result(), ref.Result()) {
 		t.Fatal("recovered result differs")
 	}
 }

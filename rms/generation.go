@@ -2,12 +2,15 @@ package rms
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fdrms/internal/core"
 	"fdrms/internal/geom"
 	"fdrms/internal/kdtree"
+	"fdrms/internal/obs"
 )
 
 // Generation is one committed version of a Store: an immutable handle to the
@@ -17,7 +20,9 @@ import (
 // so any number of goroutines may read one (or different) generations while
 // the writer publishes new ones. Hold a Generation to get repeatable reads
 // across several calls (the newest handle comes from Store.Current); drop it
-// and the garbage collector reclaims the version.
+// and the garbage collector reclaims the version. Result, TopK and
+// RegretRatioFor record their latency in fdrms_store_read_ns when the
+// owning store has telemetry attached.
 type Generation struct {
 	id     uint64
 	result []Point      // Q_t, ascending id, deep-copied values
@@ -27,7 +32,12 @@ type Generation struct {
 	dim    int          // attribute count, for query validation
 	index  *kdtree.View // the database pinned at this generation's epoch
 	born   int64        // monotonicNanos at publish, for the age gauge
+
+	tel *atomic.Pointer[Telemetry] // the owning store's telemetry slot
 }
+
+// observeSince records the time elapsed since start in h.
+func observeSince(h *obs.Histogram, start int64) { h.Observe(monotonicNanos() - start) }
 
 // ID returns the generation number: 1 for the initial build, +1 per
 // committed write. Monotonically increasing across Store.Current calls.
@@ -39,7 +49,12 @@ func (g *Generation) Epoch() uint64 { return g.index.Epoch() }
 // Result returns the k-RMS answer of this generation (at most R tuples,
 // ordered by ID). The slice is immutable and shared by every caller:
 // treat it as read-only, and copy tuples that need private mutation.
-func (g *Generation) Result() []Point { return g.result }
+func (g *Generation) Result() []Point {
+	if t := g.tel.Load(); t != nil {
+		defer observeSince(t.readResultNs, monotonicNanos())
+	}
+	return g.result
+}
 
 // Len returns the database size of this generation.
 func (g *Generation) Len() int { return len(g.ids) }
@@ -65,16 +80,16 @@ type Scored struct {
 var queryScratches = sync.Pool{New: func() any { return new(kdtree.QueryScratch) }}
 
 // checkUtility validates a query utility vector against the generation's
-// dimensionality. Components must be nonnegative (the tuple index's
-// branch-and-bound upper bounds rely on it); the vector need not be
+// dimensionality. Components must be finite and nonnegative (the tuple
+// index's branch-and-bound upper bounds rely on it); the vector need not be
 // normalized, since scores enter only through ratios and rankings.
 func (g *Generation) checkUtility(utility []float64) error {
 	if len(utility) != g.dim {
 		return fmt.Errorf("rms: utility has %d components, database has %d attributes", len(utility), g.dim)
 	}
 	for i, v := range utility {
-		if v < 0 || v != v {
-			return fmt.Errorf("rms: utility[%d] = %v, need nonnegative components", i, v)
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("rms: utility[%d] = %v, need finite nonnegative components", i, v)
 		}
 	}
 	return nil
@@ -86,6 +101,9 @@ func (g *Generation) checkUtility(utility []float64) error {
 // query runs against the pinned index view: lock-free, never waiting on a
 // writer, unaffected by any concurrent or later update.
 func (g *Generation) TopK(utility []float64, k int) ([]Scored, error) {
+	if t := g.tel.Load(); t != nil {
+		defer observeSince(t.readTopKNs, monotonicNanos())
+	}
 	if err := g.checkUtility(utility); err != nil {
 		return nil, err
 	}
@@ -110,6 +128,9 @@ func (g *Generation) TopK(utility []float64, k int) ([]Scored, error) {
 // ω_k <= 0, 1 when the answer is empty). Lock-free, pinned to this
 // generation.
 func (g *Generation) RegretRatioFor(utility []float64) (float64, error) {
+	if t := g.tel.Load(); t != nil {
+		defer observeSince(t.readRegretNs, monotonicNanos())
+	}
 	if err := g.checkUtility(utility); err != nil {
 		return 0, err
 	}

@@ -1,17 +1,16 @@
-// Replica-facing surface of the rms layer: the constructors and apply path
-// a WAL-shipping follower (internal/replica) needs to rebuild a Store from a
-// primary's checkpoint payload and keep it converged by replaying tailed
-// batches. Everything here reuses the exact recovery machinery of
-// OpenDurable — same decode, same restore, same deterministic batch apply —
-// so a follower's state is bit-identical to what the primary would recover
-// to at the same seq.
+// Replica-facing surface of the rms layer: what a WAL-shipping follower
+// (internal/replica) needs to rebuild a Store from a primary's checkpoint
+// payload and compare states; it keeps the store converged by replaying
+// tailed batches through Store.ApplyReplicated. Everything here reuses the
+// exact recovery machinery of OpenDurable — same decode, same restore, same
+// deterministic batch apply — so a follower's state is bit-identical to
+// what the primary would recover to at the same seq.
 package rms
 
 import (
 	"fmt"
 
 	"fdrms/internal/core"
-	"fdrms/internal/topk"
 )
 
 // NewReplicaStore rebuilds a serving Store from an encoded engine snapshot —
@@ -28,16 +27,6 @@ func NewReplicaStore(payload []byte, shards int) (*Store, int, error) {
 		return nil, 0, fmt.Errorf("rms: restoring replica checkpoint: %w", err)
 	}
 	return NewStoreFrom(&Dynamic{f: f, dim: snap.Dim}), snap.Dim, nil
-}
-
-// ApplyReplicated applies one replayed batch of already-validated WAL
-// operations and publishes the resulting generation, exactly like the
-// recovery replay path. Coalescing several consecutive records into one call
-// is answer-neutral (the engine's batch≡sequential contract). The caller —
-// the follower's single replay loop — must not race other writers on the
-// same store; readers are never blocked.
-func (s *Store) ApplyReplicated(ops []topk.Op) {
-	s.applyOps(ops)
 }
 
 // Dim returns the database dimensionality the store was built with.

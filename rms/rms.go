@@ -39,14 +39,19 @@
 // Store, the MVCC serving layer: every committed write publishes a new
 // immutable Generation (answer, membership, stats, and an epoch-pinned
 // index view) through one atomic pointer, so reads are lock-free and never
-// wait on a writer. Hold a Generation for repeatable reads across calls:
+// wait on a writer. Every read goes through a Generation; hold one for
+// repeatable reads across calls:
 //
 //	store := rms.NewStoreFrom(db)
 //	go store.ApplyBatch(batch)         // writer
-//	top := store.Result()              // lock-free, from any goroutine
-//	g := store.Current()               // pin one version
+//	g := store.Current()               // pin one version, from any goroutine
+//	top := g.Result()                  // the answer as of g
 //	g.TopK(u, 10)                      // query the database as of g
 //	g.RegretRatioFor(u)                // evaluate g's answer for one user
+//
+// Every tuple that enters rms — the initial database and every inserted
+// tuple — must have exactly dim finite, nonnegative values; anything else is
+// rejected with an error wrapping ErrInvalidTuple before any state changes.
 //
 // Stores that must survive a crash or restart wrap the same machinery in a
 // DurableStore: every batch is written to a CRC-checked write-ahead log
@@ -59,7 +64,9 @@
 package rms
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"fdrms/internal/baseline"
@@ -155,12 +162,30 @@ type Dynamic struct {
 }
 
 // NewDynamic builds the maintenance structure over the initial database
-// (which may be empty). dim is the number of attributes of every tuple.
+// (which may be empty). dim is the number of attributes of every tuple. An
+// initial tuple that does not fit (see ErrInvalidTuple) or repeats an id
+// fails the whole call.
 func NewDynamic(dim int, initial []Point, opts Options) (*Dynamic, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("rms: dimension %d < 1", dim)
 	}
-	pts := toGeoms(initial)
+	batch := make([]Update, len(initial))
+	for i, p := range initial {
+		batch[i] = Ins(p)
+	}
+	ops, err := toOps(make([]topk.Op, 0, len(batch)), batch, dim)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]geom.Point, len(ops))
+	seen := make(map[int]struct{}, len(ops))
+	for i, op := range ops {
+		if _, dup := seen[op.Point.ID]; dup {
+			return nil, fmt.Errorf("%w: initial[%d]: id %d repeats an earlier tuple", ErrInvalidTuple, i, op.Point.ID)
+		}
+		seen[op.Point.ID] = struct{}{}
+		pts[i] = op.Point
+	}
 	o := opts.withDefaults(dim, pts)
 	f, err := core.New(dim, pts, core.Config{
 		K: o.K, R: o.R, Eps: o.Epsilon, M: o.MaxUtilities, Seed: o.Seed, Shards: o.Shards,
@@ -172,14 +197,8 @@ func NewDynamic(dim int, initial []Point, opts Options) (*Dynamic, error) {
 }
 
 // Insert adds a tuple (replacing any live tuple with the same ID) and
-// updates the answer.
-func (d *Dynamic) Insert(p Point) error {
-	if len(p.Values) != d.dim {
-		return fmt.Errorf("rms: tuple has %d values, database has %d attributes", len(p.Values), d.dim)
-	}
-	d.f.Insert(toGeom(p))
-	return nil
-}
+// updates the answer: a one-element ApplyBatch.
+func (d *Dynamic) Insert(p Point) error { return d.ApplyBatch([]Update{Ins(p)}) }
 
 // Delete removes the tuple with the given ID and updates the answer.
 // Deleting an unknown ID is a no-op.
@@ -201,6 +220,39 @@ func Ins(p Point) Update { return Update{Point: p} }
 // Del returns the Update deleting tuple id.
 func Del(id int) Update { return Update{ID: id, Delete: true} }
 
+// ErrInvalidTuple is wrapped by every error that rejects a tuple on its way
+// into rms: values of the wrong length, or a value that is NaN, infinite or
+// negative (scores, the tie order and the index bounds all assume finite
+// nonnegative attributes), or an id the initial database repeats. Detect it
+// with errors.Is.
+var ErrInvalidTuple = errors.New("rms: invalid tuple")
+
+// toOps is the one gate every tuple passes on its way into rms, the initial
+// database included: it checks each insertion of batch against a
+// dim-attribute database and appends the batch's engine operations to dst.
+// On error the result holds no operation of batch, so a caller applies all
+// of it or nothing.
+func toOps(dst []topk.Op, batch []Update, dim int) ([]topk.Op, error) {
+	n := len(dst)
+	for i, u := range batch {
+		if u.Delete {
+			dst = append(dst, topk.DeleteOp(u.ID))
+			continue
+		}
+		p := u.Point
+		if len(p.Values) != dim {
+			return dst[:n], fmt.Errorf("%w: batch[%d]: tuple %d has %d values, database has %d attributes", ErrInvalidTuple, i, p.ID, len(p.Values), dim)
+		}
+		for j, v := range p.Values {
+			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return dst[:n], fmt.Errorf("%w: batch[%d]: tuple %d value[%d] = %v, need a finite nonnegative number", ErrInvalidTuple, i, p.ID, j, v)
+			}
+		}
+		dst = append(dst, topk.InsertOp(toGeom(p)))
+	}
+	return dst, nil
+}
+
 // ApplyBatch applies the updates in order and brings the answer up to
 // date. It is equivalent to calling Insert/Delete once per update — same
 // final answer, bit for bit — but the engine executes the per-utility
@@ -210,18 +262,11 @@ func Del(id int) Update { return Update{ID: id, Delete: true} }
 // every repair requeries the database as it stood at its own operation),
 // so large batches ingest at a multiple of the sequential rate on
 // multi-core hosts. The whole batch is validated before any update is
-// applied.
+// applied (see ErrInvalidTuple).
 func (d *Dynamic) ApplyBatch(batch []Update) error {
-	ops := make([]topk.Op, len(batch))
-	for i, u := range batch {
-		if u.Delete {
-			ops[i] = topk.DeleteOp(u.ID)
-			continue
-		}
-		if len(u.Point.Values) != d.dim {
-			return fmt.Errorf("rms: batch[%d]: tuple has %d values, database has %d attributes", i, len(u.Point.Values), d.dim)
-		}
-		ops[i] = topk.InsertOp(toGeom(u.Point))
+	ops, err := toOps(nil, batch, d.dim)
+	if err != nil {
+		return err
 	}
 	d.f.ApplyBatch(ops)
 	return nil

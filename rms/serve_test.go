@@ -195,7 +195,7 @@ func TestGenerationPinnedAcrossWrites(t *testing.T) {
 	if !reflect.DeepEqual(afterTop, beforeTop) || afterReg != beforeReg {
 		t.Fatal("held generation's queries changed under a write")
 	}
-	if g.Contains(10) != true || store.Contains(10) != false {
+	if g.Contains(10) != true || store.Current().Contains(10) != false {
 		t.Fatal("membership not pinned: id 10 was deleted after the capture")
 	}
 }
@@ -314,10 +314,10 @@ func TestStoreMVCCReadersVsWriterStress(t *testing.T) {
 					failed.Store(true)
 					return
 				}
-				// Point reads through the store-level wrappers too.
-				store.Len()
-				store.Contains(i % 400)
-				store.Stats()
+				// Point reads through Current too.
+				store.Current().Len()
+				store.Current().Contains(i % 400)
+				store.Current().Stats()
 			}
 		}(r)
 	}

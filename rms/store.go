@@ -4,16 +4,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"fdrms/internal/core"
 	"fdrms/internal/topk"
 )
 
 // Store is the MVCC serving layer around a Dynamic instance. Each committed
-// write (Insert, Delete, ApplyBatch) publishes a new immutable Generation —
-// the answer, the membership, frozen stats, and an epoch-pinned view of the
-// tuple index — through one atomic pointer. Reads (Result, Len, Contains,
-// Stats, TopK, RegretRatioFor) load the current generation and never take a
-// lock: they cannot wait on a writer, cannot observe a mid-batch state, and
+// write (Insert, Delete, ApplyBatch, ApplyReplicated) publishes a new
+// immutable Generation — the answer, the membership, frozen stats, and an
+// epoch-pinned view of the tuple index — through one atomic pointer. Every
+// read goes through Current, which loads the newest generation without a
+// lock: reads cannot wait on a writer, cannot observe a mid-batch state, and
 // a handle obtained from Current stays exactly as it was — repeatable reads
 // — for as long as the caller holds it. Writers serialize among themselves
 // on a writer-only mutex; superseded generations are reclaimed by the
@@ -29,6 +28,7 @@ type Store struct {
 	d   *Dynamic                   // engine mutations serialize on wmu; guarded by wmu
 	gen atomic.Pointer[Generation] // published only by publishLocked; loads are lock-free
 
+	ops    []topk.Op // per-write batch conversion scratch; guarded by wmu
 	deltas []idDelta // per-write membership delta scratch; guarded by wmu
 
 	// tel, when set, mirrors serving traffic into obs handles (see
@@ -94,6 +94,7 @@ func (s *Store) publishLocked(prevID uint64, delta []idDelta) {
 		dim:    s.d.dim,
 		index:  fz.Index,
 		born:   monotonicNanos(),
+		tel:    &s.tel,
 	})
 }
 
@@ -103,21 +104,8 @@ func (s *Store) publishLocked(prevID uint64, delta []idDelta) {
 func (s *Store) Current() *Generation { return s.gen.Load() }
 
 // Insert adds a tuple (replacing any live tuple with the same ID), updates
-// the answer, and publishes a new generation. A rejected tuple publishes
-// nothing.
-func (s *Store) Insert(p Point) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	ts := s.traceBegin()
-	prev := s.gen.Load().id
-	err := s.d.Insert(p)
-	if err == nil {
-		s.deltas = append(s.deltas[:0], idDelta{id: p.ID, live: true})
-		s.publishLocked(prev, s.deltas)
-		s.traceEnd(ts, 1, 0)
-	}
-	return err
-}
+// the answer, and publishes a new generation: a one-element ApplyBatch.
+func (s *Store) Insert(p Point) error { return s.ApplyBatch([]Update{Ins(p)}) }
 
 // Delete removes the tuple with the given ID, updates the answer, and
 // publishes a new generation. Deleting an unknown ID is a no-op that
@@ -134,117 +122,61 @@ func (s *Store) Delete(id int) {
 	if !s.d.Contains(id) {
 		return
 	}
-	ts := s.traceBegin()
-	prev := s.gen.Load().id
-	s.d.Delete(id)
-	s.deltas = append(s.deltas[:0], idDelta{id: id, live: false})
-	s.publishLocked(prev, s.deltas)
-	s.traceEnd(ts, 0, 1)
+	s.ops = append(s.ops[:0], topk.DeleteOp(id))
+	s.commitLocked(s.ops)
 }
 
 // ApplyBatch applies the updates in order as one write: readers either see
 // the generation before the whole batch or the one after it, never a
 // mid-batch state — the preferred write path for heavy ingestion. A
-// rejected batch (it is validated up front and applied all-or-nothing)
-// publishes nothing.
+// rejected batch (it is validated up front and applied all-or-nothing, see
+// ErrInvalidTuple) publishes nothing, and so does an empty one.
 func (s *Store) ApplyBatch(batch []Update) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	ts := s.traceBegin()
-	prev := s.gen.Load().id
-	err := s.d.ApplyBatch(batch)
-	if err == nil && len(batch) > 0 {
-		s.deltas = s.deltas[:0]
-		dels := 0
-		for _, u := range batch {
-			if u.Delete {
-				s.deltas = append(s.deltas, idDelta{id: u.ID, live: false})
-				dels++
-			} else {
-				s.deltas = append(s.deltas, idDelta{id: u.Point.ID, live: true})
-			}
-		}
-		s.publishLocked(prev, s.deltas)
-		s.traceEnd(ts, len(batch)-dels, dels)
+	ops, err := toOps(s.ops[:0], batch, s.d.dim)
+	s.ops = ops
+	if err != nil {
+		return err
 	}
-	return err
+	s.commitLocked(ops)
+	return nil
 }
 
-// Result returns the current k-RMS answer as an immutable snapshot: the
-// slice stays valid (and unchanged) after further updates, and consecutive
-// reads between writes return the same shared slice without copying.
-// Callers must treat the returned points as read-only; a caller that needs
-// private mutable tuples should copy them. Equivalent to Current().Result().
-func (s *Store) Result() []Point {
-	t := s.tel.Load()
-	if t == nil {
-		return s.gen.Load().Result()
-	}
-	start := monotonicNanos()
-	out := s.gen.Load().Result()
-	t.readResultNs.Observe(monotonicNanos() - start)
-	return out
-}
-
-// Len returns the current database size.
-func (s *Store) Len() int { return s.gen.Load().Len() }
-
-// Contains reports whether a tuple with the given ID is live.
-func (s *Store) Contains(id int) bool { return s.gen.Load().Contains(id) }
-
-// Stats reports maintenance internals as frozen at the last committed write.
-func (s *Store) Stats() core.Stats { return s.gen.Load().Stats() }
-
-// TopK returns the k live tuples scoring highest under the utility, with
-// scores, against the current generation (see Generation.TopK).
-func (s *Store) TopK(utility []float64, k int) ([]Scored, error) {
-	t := s.tel.Load()
-	if t == nil {
-		return s.gen.Load().TopK(utility, k)
-	}
-	start := monotonicNanos()
-	out, err := s.gen.Load().TopK(utility, k)
-	t.readTopKNs.Observe(monotonicNanos() - start)
-	return out, err
-}
-
-// RegretRatioFor evaluates the current answer against one preference
-// (see Generation.RegretRatioFor).
-func (s *Store) RegretRatioFor(utility []float64) (float64, error) {
-	t := s.tel.Load()
-	if t == nil {
-		return s.gen.Load().RegretRatioFor(utility)
-	}
-	start := monotonicNanos()
-	out, err := s.gen.Load().RegretRatioFor(utility)
-	t.readRegretNs.Observe(monotonicNanos() - start)
-	return out, err
-}
-
-// applyOps applies already-validated engine operations as one write — the
-// durable store's apply path, which validates and converts a batch exactly
-// once (when encoding it for the log) and must then apply the very ops it
-// logged. Publishes a new generation like every committed write.
-func (s *Store) applyOps(ops []topk.Op) {
+// ApplyReplicated applies engine operations that were validated and logged
+// before — a durable store's just-appended batch, or a follower's replayed
+// WAL records — as one write, exactly like the recovery replay path.
+// Coalescing several consecutive records into one call is answer-neutral
+// (the engine's batch≡sequential contract). Readers are never blocked.
+func (s *Store) ApplyReplicated(ops []topk.Op) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	s.commitLocked(ops)
+}
+
+// commitLocked is where every write ends: it applies ops to the engine,
+// folds their net membership change into the next generation, publishes it,
+// and records the batch trace; wmu must be held. An empty ops publishes
+// nothing.
+func (s *Store) commitLocked(ops []topk.Op) {
+	if len(ops) == 0 {
+		return
+	}
 	ts := s.traceBegin()
 	prev := s.gen.Load().id
 	s.d.f.ApplyBatch(ops)
-	if len(ops) > 0 {
-		s.deltas = s.deltas[:0]
-		dels := 0
-		for _, op := range ops {
-			if op.Delete {
-				s.deltas = append(s.deltas, idDelta{id: op.ID, live: false})
-				dels++
-			} else {
-				s.deltas = append(s.deltas, idDelta{id: op.Point.ID, live: true})
-			}
+	s.deltas = s.deltas[:0]
+	dels := 0
+	for _, op := range ops {
+		if op.Delete {
+			s.deltas = append(s.deltas, idDelta{id: op.ID, live: false})
+			dels++
+		} else {
+			s.deltas = append(s.deltas, idDelta{id: op.Point.ID, live: true})
 		}
-		s.publishLocked(prev, s.deltas)
-		s.traceEnd(ts, len(ops)-dels, dels)
 	}
+	s.publishLocked(prev, s.deltas)
+	s.traceEnd(ts, len(ops)-dels, dels)
 }
 
 // withWriteLock runs f under the writer mutex — the durable store's

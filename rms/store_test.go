@@ -123,14 +123,14 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 					return
 				default:
 				}
-				res := store.Result()
+				res := store.Current().Result()
 				if len(res) > 5 {
 					t.Errorf("reader %d: |Q| = %d exceeds r", r, len(res))
 					return
 				}
-				store.Len()
-				store.Contains(r)
-				store.Stats()
+				store.Current().Len()
+				store.Current().Contains(r)
+				store.Current().Stats()
 			}
 		}(r)
 	}
@@ -145,7 +145,7 @@ func TestStoreConcurrentReadersAndWriter(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if a, b := store.Result(), plain.Result(); !reflect.DeepEqual(a, b) {
+	if a, b := store.Current().Result(), plain.Result(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("store result %v diverges from plain %v", a, b)
 	}
 }
@@ -159,12 +159,12 @@ func TestStoreResultSnapshotCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := store.Result()
+	res := store.Current().Result()
 	if len(res) == 0 {
 		t.Fatal("empty result")
 	}
 	// Reads between writes return the same cached snapshot, not a fresh copy.
-	if again := store.Result(); &again[0] != &res[0] {
+	if again := store.Current().Result(); &again[0] != &res[0] {
 		t.Fatal("consecutive reads did not share the cached snapshot")
 	}
 
@@ -179,7 +179,7 @@ func TestStoreResultSnapshotCache(t *testing.T) {
 	if !reflect.DeepEqual(res, before) {
 		t.Fatal("snapshot taken before the write changed")
 	}
-	after := store.Result()
+	after := store.Current().Result()
 	if len(after) > 0 && &after[0] == &res[0] {
 		t.Fatal("cache not invalidated by a write")
 	}
@@ -190,7 +190,7 @@ func TestStoreResultSnapshotCache(t *testing.T) {
 		after[0].Values[i] = -1
 	}
 	store.Delete(999)
-	for _, p := range store.Result() {
+	for _, p := range store.Current().Result() {
 		for _, v := range p.Values {
 			if v < 0 {
 				t.Fatal("snapshot mutation leaked into a rebuilt result")

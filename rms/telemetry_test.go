@@ -83,13 +83,13 @@ func TestStoreTelemetry(t *testing.T) {
 
 	// Read-path latency histograms fill in once the wrapped reads run.
 	u := []float64{0.2, 0.3, 0.5}
-	if _, err := store.TopK(u, 3); err != nil {
+	if _, err := store.Current().TopK(u, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.RegretRatioFor(u); err != nil {
+	if _, err := store.Current().RegretRatioFor(u); err != nil {
 		t.Fatal(err)
 	}
-	store.Result()
+	store.Current().Result()
 	for _, kind := range []string{"result", "topk", "regret"} {
 		h := reg.Histogram("fdrms_store_read_ns", "", obs.L("kind", kind))
 		if h.Count() == 0 {
@@ -110,6 +110,49 @@ func TestStoreTelemetry(t *testing.T) {
 	store.Delete(3)
 	if got := reg.Counter("fdrms_store_publishes_total", "").Load(); got != pubs {
 		t.Fatalf("publishes moved to %d after detach", got)
+	}
+}
+
+// Generation reads time themselves through the owning store's telemetry
+// slot, so a generation obtained before the attach is measured too, and the
+// measurement allocates nothing the read did not allocate already.
+func TestGenerationReadsAllocNothingExtraWithTelemetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	d := 3
+	store, err := rms.NewStore(d, randomTuples(rng, 80, d, 0), rms.Options{K: 1, R: 5, Epsilon: 0.05, MaxUtilities: 64, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	g := store.Current()
+	u := []float64{0.2, 0.3, 0.5}
+	reads := []struct {
+		kind string
+		read func()
+	}{
+		{"result", func() { g.Result() }},
+		{"topk", func() { g.TopK(u, 5) }},
+		{"regret", func() { g.RegretRatioFor(u) }},
+	}
+	const runs = 100
+	var without []float64
+	for _, r := range reads {
+		without = append(without, testing.AllocsPerRun(runs, r.read))
+	}
+
+	reg := obs.NewRegistry()
+	store.SetTelemetry(rms.NewTelemetry(reg))
+	for i, r := range reads {
+		allocs := testing.AllocsPerRun(runs, r.read)
+		// The race detector makes the pooled query scratch of TopK and
+		// RegretRatioFor allocate at random; only Result stays exact.
+		if allocs != without[i] && (!raceEnabled || r.kind == "result") {
+			t.Errorf("%s: %v allocs per read with telemetry, %v without", r.kind, allocs, without[i])
+		}
+		// AllocsPerRun makes one warm-up call on top of the measured runs.
+		if got := reg.Histogram("fdrms_store_read_ns", "", obs.L("kind", r.kind)).Count(); got != runs+1 {
+			t.Errorf("%s: %d reads recorded, want %d", r.kind, got, runs+1)
+		}
 	}
 }
 
