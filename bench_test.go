@@ -1,7 +1,7 @@
 // Package fdrms ties one testing.B benchmark to every table and figure of
 // the paper's evaluation (Section IV). Each benchmark regenerates its
-// artifact end-to-end at smoke scale (bench.QuickOptions); the full-scale
-// sweeps that produced EXPERIMENTS.md are driven by cmd/rmsbench.
+// artifact end-to-end at smoke scale (bench.QuickOptions); the larger
+// sweeps recorded in EXPERIMENTS.md are driven by cmd/rmsbench.
 //
 //	go test -bench=. -benchmem
 package fdrms
@@ -80,7 +80,7 @@ func BenchmarkFig8DatasetSize(b *testing.B) {
 }
 
 // BenchmarkAblationCover regenerates the stable-cover-vs-re-greedy ablation
-// (DESIGN.md §4.1).
+// (EXPERIMENTS.md §5.1).
 func BenchmarkAblationCover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if t := bench.AblationCover(bench.QuickOptions(), "Indep"); len(t.Rows) == 0 {
@@ -90,7 +90,7 @@ func BenchmarkAblationCover(b *testing.B) {
 }
 
 // BenchmarkAblationCone regenerates the cone-tree pruning ablation
-// (DESIGN.md §4.2).
+// (EXPERIMENTS.md §5.2).
 func BenchmarkAblationCone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if t := bench.AblationCone(bench.QuickOptions(), "Indep"); len(t.Rows) == 0 {
@@ -100,48 +100,11 @@ func BenchmarkAblationCone(b *testing.B) {
 }
 
 // BenchmarkAblationTopK regenerates the top-k fast-path ablation
-// (DESIGN.md §4.4).
+// (EXPERIMENTS.md §5.3).
 func BenchmarkAblationTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if t := bench.AblationTopK(bench.QuickOptions(), "Indep"); len(t.Rows) == 0 {
 			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkBatchThroughput regenerates the batched-vs-sequential update
-// throughput table on the anti-correlated workload.
-func BenchmarkBatchThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if t := bench.BatchThroughput(bench.QuickOptions()); len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkSlidingWindow regenerates the sliding-window / delete-heavy
-// throughput table, exercising the run-segmented delete batching.
-func BenchmarkSlidingWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if t := bench.SlidingWindow(bench.QuickOptions()); len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkRecovery runs the durability experiment end to end at smoke
-// scale: WAL ingest under both sync policies, checkpoint, simulated crash,
-// and bit-exact recovery (the table itself fails the state==live check by
-// reporting false, which CI greps for).
-func BenchmarkRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := bench.Recovery(bench.QuickOptions())
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-		last := t.Rows[len(t.Rows)-1]
-		if last[len(last)-1] != "true" {
-			b.Fatalf("recovered state diverged: %v", last)
 		}
 	}
 }

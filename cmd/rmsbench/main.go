@@ -12,94 +12,47 @@
 //	rmsbench -exp ablation-cover         # stable cover vs per-op re-greedy
 //	rmsbench -exp ablation-cone          # cone-tree pruning effectiveness
 //	rmsbench -exp ablation-topk          # top-k fast-path requery rate
-//	rmsbench -exp batch                  # batched vs sequential update throughput
-//	rmsbench -exp window                 # sliding-window / delete-heavy throughput
-//	rmsbench -exp recover                # WAL ingest, checkpoint, crash recovery
-//	rmsbench -exp serve                  # concurrent readers vs writer batches (MVCC)
-//	rmsbench -exp scaling                # GOMAXPROCS × shards sweep with phase breakdown
+//	rmsbench -exp nonlinear              # nonlinear utility classes
+//	rmsbench -exp replicate              # WAL-shipping follower: lag, faults, convergence
 //	rmsbench -exp all                    # everything above
-//
-// With -json, each experiment additionally writes BENCH_<exp>.json — the
-// same tables with rows keyed by column name (ops/s, speedup, allocs/op,
-// result==seq, ...), plus run metadata (git rev, Go version, GOMAXPROCS,
-// scale, timestamp), so the performance trajectory is machine-readable and
-// comparable across commits and runners. Every JSON row carries the
-// gomaxprocs and shards that produced it.
-//
-// With -metrics, every benchmarked instance is instrumented against one
-// obs registry and its Prometheus text dump is printed after each
-// experiment — both a way to eyeball internals (requery rates, slab reuse,
-// phase breakdown) and the live half of the instrumentation-overhead
-// comparison: run an experiment with and without -metrics and diff the
-// throughput columns.
-//
-// Profiling hooks for the multi-core work: -cpuprofile, -memprofile and
-// -mutexprofile write pprof profiles covering the selected experiments
-// (mutex profiling is only enabled when requested — it taxes every lock).
 //
 // Flags -scale, -samples, -m, -recomputes, -budget and -seed control the
 // reproduction scale; see EXPERIMENTS.md for the settings used to produce
-// the recorded results.
+// the recorded results. The benchmark/ module measures the serving layers
+// end to end.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
 	"fdrms/internal/bench"
-	"fdrms/internal/obs"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1 | fig4 | fig5 | fig6 | fig7 | fig8 | ablation-cover | ablation-cone | ablation-topk | nonlinear | batch | window | recover | serve | replicate | scaling | all")
-		batches    = flag.String("batches", "", "comma-separated batch sizes for -exp batch, window and scaling (default 1,16,256; scaling: 1,64,256)")
+		exp        = flag.String("exp", "all", "experiment: table1 | fig4 | fig5 | fig6 | fig7 | fig8 | ablation-cover | ablation-cone | ablation-topk | nonlinear | replicate | all")
 		scale      = flag.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = full scale)")
 		samples    = flag.Int("samples", 20000, "mrr test-set size (paper: 500000)")
 		m          = flag.Int("m", 2048, "FD-RMS utility sample upper bound M")
 		recomputes = flag.Int("recomputes", 10, "timed recomputations per static run (0 = every skyline change)")
 		budget     = flag.Duration("budget", 20*time.Second, "per-recompute budget before a static algorithm is skipped")
 		seed       = flag.Int64("seed", 1, "random seed")
-		datasets   = flag.String("datasets", "", "comma-separated dataset subset (default: all six)")
-		jsonOut    = flag.Bool("json", false, "also write BENCH_<exp>.json with machine-readable rows")
-		metrics    = flag.Bool("metrics", false, "instrument benchmarked instances and print the metrics registry after each experiment")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile (after a final GC) to this file")
-		mutexProf  = flag.String("mutexprofile", "", "write a mutex-contention profile to this file")
+		datasets   = flag.String("datasets", "", "comma-separated dataset subset of "+strings.Join(bench.DatasetNames, ",")+" (default: all six)")
 	)
 	flag.Parse()
 
-	if *mutexProf != "" {
-		// Sampled, and only when asked for: fraction accounting costs every
-		// contended lock acquisition in the process.
-		runtime.SetMutexProfileFraction(100)
+	// usageErr reports a bad flag value the way the flag package reports an
+	// unknown flag: message, usage text, exit status 2.
+	usageErr := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "rmsbench: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rmsbench: cpu profile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	defer func() {
-		if *memProf != "" {
-			writeProfile("heap", *memProf)
-		}
-		if *mutexProf != "" {
-			writeProfile("mutex", *mutexProf)
-		}
-	}()
 
 	opt := bench.Options{
 		Scale:         *scale,
@@ -109,40 +62,21 @@ func main() {
 		StaticBudget:  *budget,
 		Seed:          *seed,
 	}
-	if *metrics {
-		opt.Metrics = obs.NewRegistry()
-	}
 	var names []string
 	if *datasets != "" {
 		names = strings.Split(*datasets, ",")
+		for _, name := range names {
+			if !slices.Contains(bench.DatasetNames, name) {
+				usageErr("unknown dataset %q (want one of %s)", name, strings.Join(bench.DatasetNames, ", "))
+			}
+		}
 	}
 
-	// emit prints a table immediately (so long sweeps show progress) and
-	// collects it for the optional JSON report.
-	var collected []*bench.Table
+	// emit prints tables immediately, so long sweeps show progress.
 	emit := func(ts ...*bench.Table) {
 		for _, t := range ts {
 			t.Fprint(os.Stdout)
-			collected = append(collected, t)
 		}
-	}
-
-	// parseSizes resolves the -batches grid; empty means the experiment's
-	// own default (DefaultBatchSizes / DefaultScalingBatchSizes).
-	parseSizes := func() []int {
-		if *batches == "" {
-			return nil
-		}
-		var sizes []int
-		for _, s := range strings.Split(*batches, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "rmsbench: bad batch size %q\n", s)
-				os.Exit(2)
-			}
-			sizes = append(sizes, v)
-		}
-		return sizes
 	}
 
 	// perDataset streams one table per dataset.
@@ -158,7 +92,6 @@ func main() {
 
 	run := func(e string) {
 		start := time.Now()
-		collected = collected[:0]
 		switch e {
 		case "table1":
 			emit(bench.Table1(opt))
@@ -180,62 +113,20 @@ func main() {
 			emit(bench.AblationTopK(opt, names...))
 		case "nonlinear":
 			emit(bench.Nonlinear(opt, names...)...)
-		case "batch":
-			emit(bench.BatchThroughput(opt, parseSizes()...))
-		case "window":
-			emit(bench.SlidingWindow(opt, parseSizes()...))
-		case "scaling":
-			emit(bench.Scaling(opt, parseSizes()...))
-		case "recover":
-			emit(bench.Recovery(opt))
-		case "serve":
-			emit(bench.Serve(opt))
 		case "replicate":
 			emit(bench.Replicate(opt))
 		default:
-			fmt.Fprintf(os.Stderr, "rmsbench: unknown experiment %q\n", e)
-			flag.Usage()
-			os.Exit(2)
-		}
-		if *jsonOut {
-			path := fmt.Sprintf("BENCH_%s.json", e)
-			if err := bench.WriteJSON(path, e, bench.CollectMeta(opt), collected); err != nil {
-				fmt.Fprintf(os.Stderr, "rmsbench: writing %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "[wrote %s]\n", path)
-		}
-		if opt.Metrics != nil {
-			fmt.Printf("--- metrics after %s ---\n", e)
-			opt.Metrics.WriteText(os.Stdout)
-			fmt.Println()
+			usageErr("unknown experiment %q", e)
 		}
 		fmt.Fprintf(os.Stderr, "[%s finished in %v]\n", e, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *exp == "all" {
 		for _, e := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8",
-			"ablation-cover", "ablation-cone", "ablation-topk", "nonlinear", "batch", "window", "recover", "serve", "replicate", "scaling"} {
+			"ablation-cover", "ablation-cone", "ablation-topk", "nonlinear", "replicate"} {
 			run(e)
 		}
 		return
 	}
 	run(*exp)
-}
-
-// writeProfile dumps one named runtime profile, forcing a GC first for the
-// heap profile so it reflects live objects rather than garbage.
-func writeProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rmsbench: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if name == "heap" {
-		runtime.GC()
-	}
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "rmsbench: %s profile: %v\n", name, err)
-	}
 }

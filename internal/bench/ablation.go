@@ -10,7 +10,7 @@ import (
 
 // AblationCover compares FD-RMS's incremental stable-cover maintenance
 // against a variant that re-runs GREEDY on the set system after every
-// operation (DESIGN.md §4.1). Quality stays in the same approximation
+// operation (EXPERIMENTS.md §5.1). Quality stays in the same approximation
 // class; the time gap is the payoff of the stability machinery.
 func AblationCover(o Options, names ...string) *Table {
 	o = o.withDefaults()
@@ -80,7 +80,7 @@ func runRegreedy(w *workload.Workload, cfg core.Config) (*workload.RunStats, err
 
 // AblationCone measures how many utilities the cone-tree utility index
 // actually evaluates per insertion versus the total M the engine maintains
-// (DESIGN.md §4.2). The gap is the pruning payoff of Section III-C's UI.
+// (EXPERIMENTS.md §5.2). The gap is the pruning payoff of Section III-C's UI.
 func AblationCone(o Options, names ...string) *Table {
 	o = o.withDefaults()
 	if len(names) == 0 {
@@ -123,7 +123,7 @@ func AblationCone(o Options, names ...string) *Table {
 }
 
 // AblationTopK reports the requery rate of the top-k maintenance fast paths
-// (DESIGN.md §4.4): the fraction of operations that needed a fresh
+// (EXPERIMENTS.md §5.3): the fraction of operations that needed a fresh
 // tuple-index query instead of an incremental repair.
 func AblationTopK(o Options, names ...string) *Table {
 	o = o.withDefaults()

@@ -115,24 +115,6 @@ func TestStaticFeasible(t *testing.T) {
 	}
 }
 
-// The throughput tables double as equivalence checks: every batched run
-// must report result==seq true. Tiny scale keeps this a smoke test.
-func TestThroughputTablesEquivalent(t *testing.T) {
-	o := QuickOptions()
-	o.Scale = 0.01
-	o.M = 256
-	for _, tb := range []*Table{BatchThroughput(o, 1, 8), SlidingWindow(o, 1, 8)} {
-		if len(tb.Rows) == 0 {
-			t.Fatalf("%s: empty table", tb.Title)
-		}
-		for _, row := range tb.Rows {
-			if got := row[len(row)-1]; got != "true" {
-				t.Fatalf("%s: row %v not equivalent to sequential", tb.Title, row)
-			}
-		}
-	}
-}
-
 func TestCapR(t *testing.T) {
 	if capR(50, 100000) != 50 {
 		t.Fatal("cap must not bind at paper scale")
@@ -173,20 +155,3 @@ func TestTuneEpsReturnsLadderValue(t *testing.T) {
 }
 
 func newSphereForTest() baseline.Algorithm { return baseline.NewSphere(1) }
-
-// The serving table doubles as a consistency check: every row must report
-// consistent (monotonic generations, valid reads, expected final version).
-func TestServeQuickConsistent(t *testing.T) {
-	o := QuickOptions()
-	o.Scale = 0.01
-	o.M = 256
-	tb := Serve(o)
-	if len(tb.Rows) != 6 {
-		t.Fatalf("serve table rows: %d, want 6 (2 reader counts x 3 kinds)", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		if got := row[len(row)-1]; got != "true" {
-			t.Fatalf("serve row %v not consistent", row)
-		}
-	}
-}

@@ -22,7 +22,7 @@ func Table1(o Options) *Table {
 		Title:  "Table I: statistics of datasets",
 		Header: []string{"dataset", "n", "d", "#skylines", "sky%", "paper-n", "paper-#sky", "paper-sky%"},
 		Notes: []string{
-			fmt.Sprintf("real datasets simulated at scale %.2f (see DESIGN.md §1.2)", o.Scale),
+			fmt.Sprintf("real datasets simulated at scale %.2f (see EXPERIMENTS.md §1.2)", o.Scale),
 		},
 	}
 	for _, name := range DatasetNames {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fdrms/internal/dataset"
-	"fdrms/internal/obs"
 )
 
 // Options controls experiment scale. Zero values are replaced by defaults
@@ -31,12 +30,6 @@ type Options struct {
 	M int
 	// Seed drives all sampling.
 	Seed int64
-	// Metrics, when set, instruments every benchmarked instance against this
-	// registry (engine, cover, pool — and the serving layers where an
-	// experiment builds them), accumulating across runs. Nil benchmarks
-	// uninstrumented; the throughput delta between the two is itself a
-	// measurement (see rmsbench -metrics).
-	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"time"
 
+	"fdrms/internal/core"
+	"fdrms/internal/dataset"
+	"fdrms/internal/geom"
 	"fdrms/internal/obs"
 	"fdrms/internal/replica"
 	"fdrms/internal/topk"
@@ -234,6 +237,37 @@ func Replicate(o Options) *Table {
 		"fault rows: rate is catch-up replay once the fault clears; elapsed is time from fault cleared to fully converged",
 		"state==primary: the follower's encoded engine state is byte-identical to the primary's at the same applied seq")
 	return t
+}
+
+// batchSetup materializes the workload of the replication experiment: an
+// anti-correlated initial database plus a pool of fresh points for the
+// stream to insert.
+func batchSetup(o Options) (initial, fresh []geom.Point, cfg core.Config) {
+	n := scaled(o.SynthN, o.Scale)
+	streamLen := n / 10
+	if streamLen < 512 {
+		streamLen = 512
+	}
+	ds := dataset.AntiCor(n+streamLen, o.SynthD, o.Seed)
+	initial = ds.Points[:n]
+	fresh = ds.Points[n:]
+	cfg = core.Config{K: 1, R: capR(defaultR("AntiCor"), n), Eps: 0.01, M: o.M, Seed: o.Seed}
+	return initial, fresh, cfg
+}
+
+// mixedStream interleaves one deletion of an initial tuple after every four
+// insertions (20% deletes), deterministic in the stream position.
+func mixedStream(initial, fresh []geom.Point) []topk.Op {
+	ops := make([]topk.Op, 0, len(fresh)+len(fresh)/4)
+	del := 0
+	for i, p := range fresh {
+		ops = append(ops, topk.InsertOp(p))
+		if (i+1)%4 == 0 && del < len(initial) {
+			ops = append(ops, topk.DeleteOp(initial[del].ID))
+			del++
+		}
+	}
+	return ops
 }
 
 // opsToUpdates converts a topk op stream into the rms batch form.

@@ -3,7 +3,7 @@
 // sizes of the synthetic families), Fig. 5 (effect of ε on FD-RMS), Fig. 6
 // (effect of the result size r across all algorithms), Fig. 7 (effect of
 // k), and Fig. 8 (scalability in d and n) — plus the ablation studies
-// called out in DESIGN.md.
+// recorded in EXPERIMENTS.md.
 //
 // Datasets are scaled down from the paper's sizes by Options.Scale (default
 // 1/20) so the whole suite runs on a laptop; the comparisons are relative
@@ -14,16 +14,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
-	"runtime"
 	"strings"
 	"time"
-
-	"fdrms/internal/topk"
 )
 
 // Table is a printable experiment result.
@@ -82,99 +76,6 @@ func (t *Table) String() string {
 	var sb strings.Builder
 	t.Fprint(&sb)
 	return sb.String()
-}
-
-// jsonTable is the machine-readable form of one table: rows become objects
-// keyed by the column headers, so downstream tooling (perf-trajectory
-// dashboards, CI gates) reads cells by name instead of position.
-type jsonTable struct {
-	Title  string              `json:"title"`
-	Header []string            `json:"header"`
-	Rows   []map[string]string `json:"rows"`
-	Notes  []string            `json:"notes,omitempty"`
-}
-
-// jsonReport is the top-level document WriteJSON produces.
-type jsonReport struct {
-	Experiment string      `json:"experiment"`
-	Meta       RunMeta     `json:"meta"`
-	Tables     []jsonTable `json:"tables"`
-}
-
-// RunMeta identifies the code and machine state behind one BENCH_*.json, so
-// reports from different commits and runners are comparable: a number
-// without its git rev, GOMAXPROCS, and scale is noise.
-type RunMeta struct {
-	GitRev     string  `json:"git_rev,omitempty"` // short HEAD rev, "-dirty" suffixed
-	GoVersion  string  `json:"go_version"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	Scale      float64 `json:"scale"`
-	M          int     `json:"m"`
-	Seed       int64   `json:"seed"`
-	Timestamp  string  `json:"timestamp"` // RFC3339, UTC
-}
-
-// CollectMeta gathers the run metadata for o. The git revision is
-// best-effort: absent git or a checkout, the field is simply omitted.
-func CollectMeta(o Options) RunMeta {
-	o = o.withDefaults()
-	m := RunMeta{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Scale:      o.Scale,
-		M:          o.M,
-		Seed:       o.Seed,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-	}
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		m.GitRev = strings.TrimSpace(string(out))
-		// Porcelain, not 'diff --quiet': untracked source files also make the
-		// build differ from the named rev.
-		if st, err := exec.Command("git", "status", "--porcelain").Output(); err != nil || len(st) > 0 {
-			m.GitRev += "-dirty"
-		}
-	}
-	return m
-}
-
-// WriteJSON writes the tables of one experiment as an indented JSON
-// document (see jsonTable for the shape) to path.
-//
-// Every row carries "gomaxprocs" and "shards" keys: tables that sweep them
-// (the scaling experiment) provide their own columns; all other rows get the
-// process-wide values stamped in, so a dashboard diffing ops/s across
-// commits can always condition on the parallelism that produced the number.
-func WriteJSON(path, experiment string, meta RunMeta, tables []*Table) error {
-	gmp := fmt.Sprint(runtime.GOMAXPROCS(0))
-	shards := fmt.Sprint(topk.DefaultShards())
-	rep := jsonReport{Experiment: experiment, Meta: meta, Tables: make([]jsonTable, 0, len(tables))}
-	for _, t := range tables {
-		jt := jsonTable{Title: t.Title, Header: t.Header, Notes: t.Notes,
-			Rows: make([]map[string]string, 0, len(t.Rows))}
-		for _, row := range t.Rows {
-			m := make(map[string]string, len(row)+2)
-			for i, c := range row {
-				if i < len(t.Header) {
-					m[t.Header[i]] = c
-				}
-			}
-			if _, ok := m["gomaxprocs"]; !ok {
-				m["gomaxprocs"] = gmp
-			}
-			if _, ok := m["shards"]; !ok {
-				m["shards"] = shards
-			}
-			jt.Rows = append(jt.Rows, m)
-		}
-		rep.Tables = append(rep.Tables, jt)
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // fmtDur renders a duration as the paper's millisecond axis.

@@ -322,7 +322,7 @@ func (f *FDRMS) Stats() Stats {
 // RebuildCover discards the maintained stable cover and re-runs GREEDY on
 // the current set system. FD-RMS never needs this — it exists for the
 // ablation experiment that compares incremental stable-cover maintenance
-// against per-operation re-greedy (DESIGN.md §4.1).
+// against per-operation re-greedy (EXPERIMENTS.md §5.1).
 func (f *FDRMS) RebuildCover() {
 	f.cover.Greedy()
 	if f.cover.Size() != f.cfg.R {

@@ -4,7 +4,8 @@ import "sync"
 
 // BatchTrace is one per-batch record: what the batch was, what it changed,
 // and where its nanoseconds went (per-phase values come from the engine's
-// injected PhaseProfile clock and are zero when no clock is installed).
+// injected phase clock, topk.Engine.SetPhaseClock, and are zero when no
+// clock is installed).
 // Field names are the JSON wire format served by /debug/vars.
 type BatchTrace struct {
 	Seq        uint64 `json:"seq"`        // monotone record number (never wraps)

@@ -484,7 +484,6 @@ func (e *Engine) runPhase(del bool, insRun []insOp, delRun []Op, base uint64, ru
 		}
 		return
 	}
-	e.prof.Parallel++
 	e.metrics.mirrorParallel()
 	e.dispatch(phaseJob{del: del, insRun: insRun, delRun: delRun, base: base, runPos: runPos}, active)
 }
@@ -498,8 +497,8 @@ func (e *Engine) phaseTasks(del bool, s int) int {
 }
 
 // phaseWork runs shard s's worker for the phase kind. The busy-time stamp
-// feeds the per-shard balance column of the phase profile; the clock hook
-// must be safe for concurrent calls (see SetPhaseClock).
+// feeds the pool's busy-time metric; the clock hook must be safe for
+// concurrent calls (see SetPhaseClock).
 func (e *Engine) phaseWork(del bool, s int, insRun []insOp, delRun []Op, base uint64, runPos map[int]int) {
 	sc := &e.scratch
 	start := e.now()
@@ -844,9 +843,6 @@ func (e *Engine) mergePhase(results []shardResult) {
 		requeries += results[s].requeries
 		promotions += results[s].promotions
 		busy += results[s].busyNanos
-		if e.clock != nil && e.prof.Busy != nil {
-			e.prof.Busy[s] += results[s].busyNanos
-		}
 		for _, uid := range results[s].touched {
 			tau := e.threshold(e.stateOf(uid))
 			if cur, ok := e.ui.Threshold(uid); ok && tau != cur {

@@ -1,29 +1,18 @@
 package topk
 
-// PhaseProfile is the accumulated wall-time breakdown of the batched
-// update path, split along the pipeline stages of one run:
+// phaseNanos is the accumulated wall-time breakdown of the batched update
+// path, split along the pipeline stages of one run:
 //
-//	Candidate — utility-index probes and task-list construction
-//	Index     — tuple-index mutation (inserts or tombstoning)
-//	Fanout    — the parallel per-shard Φ maintenance phase
-//	Merge     — counter folding and cone-tree threshold repair
-//	Emit      — the k-way change merge and group emission
+//	candidate — utility-index probes and task-list construction
+//	index     — tuple-index mutation (inserts or tombstoning)
+//	fanout    — the parallel per-shard Φ maintenance phase
+//	merge     — counter folding and cone-tree threshold repair
+//	emit      — the k-way change merge and group emission
 //
-// Busy holds per-shard worker wall time summed over parallel phases; the
-// spread between max(Busy) and mean(Busy) is the load-imbalance signal the
-// scaling experiment reports. All times are deltas of the installed phase
-// clock (SetPhaseClock) and zero when no clock is installed.
-type PhaseProfile struct {
-	Phases   int // runs executed (insert + delete)
-	Parallel int // runs whose fan-out went through the worker pool
-
-	CandidateNanos int64
-	IndexNanos     int64
-	FanoutNanos    int64
-	MergeNanos     int64
-	EmitNanos      int64
-
-	Busy []int64 // per-shard worker time across parallel + inline phases
+// All times are deltas of the installed phase clock (SetPhaseClock) and
+// zero when no clock is installed.
+type phaseNanos struct {
+	candidate, index, fanout, merge, emit int64
 }
 
 // SetPhaseClock installs (or, with nil, removes) the timestamp source for
@@ -39,39 +28,14 @@ type PhaseProfile struct {
 // flag a direct time.Now in it, while a caller-supplied hook is an audited
 // boundary the analyzer (correctly) treats as opaque. Must be called by the
 // engine's single writer, like every mutating entry point.
-func (e *Engine) SetPhaseClock(clock func() int64) {
-	e.clock = clock
-	if clock != nil && e.prof.Busy == nil {
-		e.prof.Busy = make([]int64, len(e.shards))
-	}
-}
+func (e *Engine) SetPhaseClock(clock func() int64) { e.clock = clock }
 
-// PhaseProfile returns a copy of the accumulated breakdown.
-func (e *Engine) PhaseProfile() PhaseProfile {
-	p := e.prof
-	if p.Busy != nil {
-		p.Busy = append([]int64(nil), p.Busy...)
-	}
-	return p
-}
-
-// PhaseTotals returns the accumulated per-phase nanosecond counters
-// without copying the per-shard busy slice — the allocation-free form the
-// serving telemetry snapshots around every batch. Caller must hold the
-// engine's single-writer role, like PhaseProfile.
+// PhaseTotals returns the accumulated per-phase nanosecond counters, which
+// the serving telemetry snapshots around every batch. Caller must hold the
+// engine's single-writer role.
 func (e *Engine) PhaseTotals() (candidate, index, fanout, merge, emit int64) {
-	return e.prof.CandidateNanos, e.prof.IndexNanos, e.prof.FanoutNanos, e.prof.MergeNanos, e.prof.EmitNanos
-}
-
-// ResetPhaseProfile zeroes the accumulated breakdown (the installed clock
-// stays).
-func (e *Engine) ResetPhaseProfile() {
-	busy := e.prof.Busy
-	e.prof = PhaseProfile{}
-	if busy != nil {
-		clear(busy)
-		e.prof.Busy = busy
-	}
+	p := e.prof
+	return p.candidate, p.index, p.fanout, p.merge, p.emit
 }
 
 // now returns the phase-clock timestamp, or 0 with no clock installed.
@@ -86,7 +50,6 @@ func (e *Engine) now() int64 {
 // The seven stamps bracket, in order: candidate probing, index mutation,
 // task building, the parallel fan-out, the merge, and group emission.
 func (e *Engine) recordPhase(probe0, probe1, index1, build1, fanout1, merge1, emit1 int64) {
-	e.prof.Phases++
 	if e.clock == nil {
 		e.metrics.mirrorPhase(0, 0, 0, 0, 0)
 		return
@@ -96,10 +59,10 @@ func (e *Engine) recordPhase(probe0, probe1, index1, build1, fanout1, merge1, em
 	fanout := fanout1 - build1
 	merge := merge1 - fanout1
 	emit := emit1 - merge1
-	e.prof.CandidateNanos += cand
-	e.prof.IndexNanos += index
-	e.prof.FanoutNanos += fanout
-	e.prof.MergeNanos += merge
-	e.prof.EmitNanos += emit
+	e.prof.candidate += cand
+	e.prof.index += index
+	e.prof.fanout += fanout
+	e.prof.merge += merge
+	e.prof.emit += emit
 	e.metrics.mirrorPhase(cand, index, fanout, merge, emit)
 }

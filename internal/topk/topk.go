@@ -190,7 +190,7 @@ type Engine struct {
 	// clock, when set, timestamps the batch phases for the profiling report
 	// (see SetPhaseClock); prof accumulates the per-phase breakdown.
 	clock func() int64
-	prof  PhaseProfile
+	prof  phaseNanos
 
 	// metrics, when set, mirrors the counters and phase deltas into obs
 	// handles at run granularity (see metrics.go). Written only by the

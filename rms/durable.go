@@ -17,7 +17,7 @@ type DurableOptions struct {
 	// SyncEveryBatch fsyncs the log after every write, so an acknowledged
 	// update is never lost. Off, the durable prefix trails by up to
 	// SyncInterval (plus the OS flush), which multiplies ingest throughput —
-	// the classic WAL trade-off; the recovery bench quantifies both sides.
+	// the classic WAL trade-off.
 	SyncEveryBatch bool
 	// SyncInterval bounds the staleness of the durable prefix when
 	// SyncEveryBatch is off; zero syncs only on rotation, Checkpoint, Sync,

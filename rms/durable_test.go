@@ -375,7 +375,40 @@ func TestDurableStoreCheckpointPrunesAndRecoversWithoutOldSegments(t *testing.T)
 	if re.LastSeq() != 46 {
 		t.Fatalf("LastSeq after post-recovery write = %d, want 46", re.LastSeq())
 	}
-	re.Close()
+	// The directory was reopened without SyncEveryBatch, so it now runs the
+	// deferred policy: ingest, a second checkpoint and prune, a crash-gap
+	// tail made durable only by Sync, then a crash. The second recovery must
+	// land on the live state byte for byte.
+	more := durableTestBatches(rand.New(rand.NewSource(55)), nil, 20, d)
+	for _, b := range more[:15] {
+		if err := re.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range more[15:] {
+		if err := re.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := re.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want = engineState(t, re.store.d.f)
+	// no Close: crash
+	re2, err := OpenDurable(dir, 0, nil, Options{}, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if !bytes.Equal(engineState(t, re2.store.d.f), want) {
+		t.Fatal("recovery after reopening under the deferred sync policy diverged")
+	}
+	if re2.LastSeq() != 66 {
+		t.Fatalf("LastSeq after second recovery = %d, want 66", re2.LastSeq())
+	}
 }
 
 func TestDurableStoreRejectsInvalidBatchWithoutLogging(t *testing.T) {
