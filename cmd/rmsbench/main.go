@@ -12,7 +12,6 @@
 //	rmsbench -exp ablation-cover         # stable cover vs per-op re-greedy
 //	rmsbench -exp ablation-cone          # cone-tree pruning effectiveness
 //	rmsbench -exp ablation-topk          # top-k fast-path requery rate
-//	rmsbench -exp nonlinear              # nonlinear utility classes
 //	rmsbench -exp replicate              # WAL-shipping follower: lag, faults, convergence
 //	rmsbench -exp all                    # everything above
 //
@@ -35,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1 | fig4 | fig5 | fig6 | fig7 | fig8 | ablation-cover | ablation-cone | ablation-topk | nonlinear | replicate | all")
+		exp        = flag.String("exp", "all", "experiment: table1 | fig4 | fig5 | fig6 | fig7 | fig8 | ablation-cover | ablation-cone | ablation-topk | replicate | all")
 		scale      = flag.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = full scale)")
 		samples    = flag.Int("samples", 20000, "mrr test-set size (paper: 500000)")
 		m          = flag.Int("m", 2048, "FD-RMS utility sample upper bound M")
@@ -111,8 +110,6 @@ func main() {
 			emit(bench.AblationCone(opt, names...))
 		case "ablation-topk":
 			emit(bench.AblationTopK(opt, names...))
-		case "nonlinear":
-			emit(bench.Nonlinear(opt, names...)...)
 		case "replicate":
 			emit(bench.Replicate(opt))
 		default:
@@ -123,7 +120,7 @@ func main() {
 
 	if *exp == "all" {
 		for _, e := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8",
-			"ablation-cover", "ablation-cone", "ablation-topk", "nonlinear", "replicate"} {
+			"ablation-cover", "ablation-cone", "ablation-topk", "replicate"} {
 			run(e)
 		}
 		return

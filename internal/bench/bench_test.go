@@ -131,20 +131,6 @@ func TestCapR(t *testing.T) {
 	}
 }
 
-func TestNonlinearQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("nonlinear cross-scoring is slow")
-	}
-	ts := Nonlinear(QuickOptions(), "Indep")
-	if len(ts) != 1 {
-		t.Fatalf("%d tables", len(ts))
-	}
-	// 4 tuned classes + the Sphere reference row.
-	if len(ts[0].Rows) != 5 {
-		t.Fatalf("%d rows\n%s", len(ts[0].Rows), ts[0])
-	}
-}
-
 func TestTuneEpsReturnsLadderValue(t *testing.T) {
 	o := QuickOptions()
 	ds := loadDataset("Indep", o)

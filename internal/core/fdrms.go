@@ -37,7 +37,8 @@ type Config struct {
 	Seed int64
 
 	// Shards is the number of utility-state shards of the top-k engine;
-	// zero means one per available CPU. The answer does not depend on it.
+	// zero means topk.DefaultShards (four per available CPU). The answer
+	// does not depend on it.
 	Shards int
 }
 

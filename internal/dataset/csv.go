@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"fdrms/internal/geom"
@@ -83,6 +84,9 @@ func LoadCSV(r io.Reader, name string) (*Dataset, error) {
 			}
 			if x < 0 {
 				return nil, fmt.Errorf("dataset: row %d, column %d: negative attribute %v (larger-is-better scores must be nonnegative)", lineNo+start+1, i+2, x)
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("dataset: row %d, column %d: non-finite attribute %v", lineNo+start+1, i+2, x)
 			}
 			v[i] = x
 		}

@@ -48,6 +48,8 @@ func TestLoadCSVErrors(t *testing.T) {
 		"bad id":         "id,attr1\nxx,0.5\n",
 		"bad value":      "0,zzz\n",
 		"negative":       "0,-1.5\n",
+		"NaN":            "0,0.5\n1,NaN\n",
+		"Inf":            "0,0.5,0.5\n1,0.5,Inf\n",
 		"ragged row":     "0,0.5,0.5\n1,0.5\n",
 		"duplicate id":   "0,0.5\n0,0.7\n",
 		"id only column": "0\n1\n",
@@ -56,6 +58,11 @@ func TestLoadCSVErrors(t *testing.T) {
 		if _, err := LoadCSV(strings.NewReader(in), name); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// A non-finite cell is named by row and column, like a negative one.
+	_, err := LoadCSV(strings.NewReader("id,a,b\n0,0.5,0.5\n1,0.5,+Inf\n"), "inf")
+	if err == nil || !strings.Contains(err.Error(), "row 3, column 3") {
+		t.Fatalf("err = %v, want one naming row 3, column 3", err)
 	}
 }
 

@@ -37,10 +37,8 @@ package topk
 
 import (
 	"math"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 
 	"fdrms/internal/conetree"
 	"fdrms/internal/geom"
@@ -217,25 +215,16 @@ func NewEngine(dim, k int, eps float64, points []geom.Point, utilities []Utility
 }
 
 // DefaultShards returns the shard count NewEngine uses: FOUR contiguous id
-// blocks per available CPU, overridable through the FDRMS_SHARDS
-// environment variable. Over-partitioning matters because shards are the
-// unit of load balancing, not of parallelism: the worker pool (pool.go)
-// hands whole shards to whichever worker is free, so with exactly one
-// shard per CPU a clustered workload — all of a phase's tasks landing in
-// one utility-id block — degenerates to single-core throughput. At ~4
-// blocks per CPU the largest-first dispatch keeps every worker busy until
-// the phase tail while per-shard fixed costs stay negligible. The env
-// override exists so CI (and operators of small machines) can force the
-// cross-shard parallel path — every answer is independent of the shard
-// count, only ApplyBatch parallelism changes.
-func DefaultShards() int {
-	if s := os.Getenv("FDRMS_SHARDS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 4 * runtime.GOMAXPROCS(0)
-}
+// blocks per available CPU (4 × GOMAXPROCS, so at least four).
+// Over-partitioning matters because shards are the unit of load balancing,
+// not of parallelism: the worker pool (pool.go) hands whole shards to
+// whichever worker is free, so with exactly one shard per CPU a clustered
+// workload — all of a phase's tasks landing in one utility-id block —
+// degenerates to single-core throughput. At ~4 blocks per CPU the
+// largest-first dispatch keeps every worker busy until the phase tail while
+// per-shard fixed costs stay negligible. Every answer is independent of the
+// shard count; only ApplyBatch parallelism changes.
+func DefaultShards() int { return 4 * runtime.GOMAXPROCS(0) }
 
 // NewEngineShards is NewEngine with an explicit shard count (tests force
 // cross-shard parallelism regardless of the host; servers can pin it).

@@ -41,13 +41,6 @@ type DurableOptions struct {
 	// write itself is already durable and applied; do not retry it).
 	CheckpointEveryOps int
 
-	// CheckpointInterval runs an automatic Checkpoint when this much time
-	// has passed since the last one, checked as writes complete (the store
-	// runs no background timer: a quiescent store stays untouched, which
-	// also means a lone write after a long idle stretch is what triggers the
-	// catch-up checkpoint). Zero disables the time trigger.
-	CheckpointInterval time.Duration
-
 	// RetainSegments keeps at least this many of the newest log segments
 	// through checkpoint-driven pruning — a static cushion for WAL-shipping
 	// followers tailing the directory, useful when no feedback channel exists
@@ -106,13 +99,11 @@ type DurableStore struct {
 	// where writers are free to cut in.
 	ckptStepHook func()
 
-	// Auto-checkpoint state (see DurableOptions.CheckpointEveryOps /
-	// CheckpointInterval). ckptBusy keeps concurrent triggering writers from
-	// stacking redundant checkpoints (the loser simply skips — the winner's
-	// checkpoint covers its batch too, since Checkpoint captures after
-	// syncing the log).
-	opsSinceCkpt int       // guarded by wmu
-	lastCkpt     time.Time // guarded by wmu
+	// Auto-checkpoint state (see DurableOptions.CheckpointEveryOps).
+	// ckptBusy keeps concurrent triggering writers from stacking redundant
+	// checkpoints (the loser simply skips — the winner's checkpoint covers
+	// its batch too, since Checkpoint captures after syncing the log).
+	opsSinceCkpt int // guarded by wmu
 	ckptBusy     atomic.Bool
 
 	// appliedSeq mirrors log.LastSeq after every committed write so serving
@@ -145,10 +136,7 @@ func OpenDurable(dir string, dim int, initial []Point, opts Options, dopts Durab
 	if err != nil {
 		return nil, err
 	}
-	// The interval trigger counts from open: a fresh store just wrote (or is
-	// about to write) its genesis checkpoint, and a recovered one replays
-	// onto a checkpoint it only just loaded.
-	ds := &DurableStore{dir: dir, opt: dopts, lastCkpt: time.Now()}
+	ds := &DurableStore{dir: dir, opt: dopts}
 	logOpts := wal.Options{
 		SegmentBytes:    dopts.SegmentBytes,
 		SyncEveryAppend: dopts.SyncEveryBatch,
@@ -303,11 +291,10 @@ func (ds *DurableStore) durableWrite(locked func() (bool, error)) error {
 	return ds.runAutoCheckpoint()
 }
 
-// autoCheckpointDueLocked reports whether a configured auto-checkpoint
+// autoCheckpointDueLocked reports whether the configured auto-checkpoint
 // trigger has fired; wmu must be held.
 func (ds *DurableStore) autoCheckpointDueLocked() bool {
-	return (ds.opt.CheckpointEveryOps > 0 && ds.opsSinceCkpt >= ds.opt.CheckpointEveryOps) ||
-		(ds.opt.CheckpointInterval > 0 && time.Since(ds.lastCkpt) >= ds.opt.CheckpointInterval)
+	return ds.opt.CheckpointEveryOps > 0 && ds.opsSinceCkpt >= ds.opt.CheckpointEveryOps
 }
 
 // runAutoCheckpoint runs the triggered checkpoint synchronously in the
@@ -406,11 +393,9 @@ func (ds *DurableStore) Checkpoint() (uint64, error) {
 		ckptStart = monotonicNanos()
 	}
 	var (
-		seq      uint64
-		sess     *core.SnapshotSession
-		prevOps  int
-		prevTime time.Time
-		myStamp  time.Time
+		seq     uint64
+		sess    *core.SnapshotSession
+		prevOps int
 	)
 	// The locked pin runs under a deferred unlock so a panic anywhere in it
 	// cannot wedge the store for a caller that recovers.
@@ -426,16 +411,14 @@ func (ds *DurableStore) Checkpoint() (uint64, error) {
 		if err := ds.log.Sync(); err != nil {
 			return err
 		}
-		// Reset the auto-checkpoint triggers at capture time — operations
+		// Reset the auto-checkpoint trigger at capture time — operations
 		// applied while the snapshot is being written to disk are NOT
 		// covered by it and must count toward the next one. The pre-reset
-		// values are remembered so a failed write restores them: a
-		// checkpoint that never hit disk must not silence the triggers for
-		// a whole further cycle.
-		prevOps, prevTime = ds.opsSinceCkpt, ds.lastCkpt
+		// count is remembered so a failed write restores it: a checkpoint
+		// that never hit disk must not silence the trigger for a whole
+		// further cycle.
+		prevOps = ds.opsSinceCkpt
 		ds.opsSinceCkpt = 0
-		myStamp = time.Now()
-		ds.lastCkpt = myStamp
 		seq = ds.log.LastSeq()
 		// Arm the capture under the store's writer mutex: holding wmu at the
 		// same time makes "state at seq" exact — no batch can slip between
@@ -490,13 +473,8 @@ func (ds *DurableStore) Checkpoint() (uint64, error) {
 		// cover these ops and this overcounts — costing at most one
 		// redundant checkpoint on the next write, the safe direction (an
 		// undercount would silently extend the replay window past the
-		// configured bound). The time trigger rewinds only when
-		// un-superseded: rolling lastCkpt back past a successful
-		// checkpoint would re-arm the interval for nothing.
+		// configured bound).
 		ds.opsSinceCkpt += prevOps
-		if ds.lastCkpt.Equal(myStamp) {
-			ds.lastCkpt = prevTime
-		}
 		ds.wmu.Unlock()
 		return 0, err
 	}

@@ -638,30 +638,3 @@ func TestDurableStoreAutoCheckpointEveryOps(t *testing.T) {
 		re.Close()
 	}
 }
-
-// The time trigger: with a tiny CheckpointInterval every write checkpoints,
-// so the newest checkpoint always covers the last logged batch.
-func TestDurableStoreAutoCheckpointInterval(t *testing.T) {
-	rng := rand.New(rand.NewSource(48))
-	d := 2
-	initial := durableTestPoints(rng, 30, d, 0)
-	dir := t.TempDir()
-	ds, err := OpenDurable(dir, d, initial, durableTestOptions(),
-		DurableOptions{SyncEveryBatch: true, CheckpointInterval: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	for i := 0; i < 5; i++ {
-		if err := ds.Insert(durableTestPoints(rng, 1, d, 20000+i)[0]); err != nil {
-			t.Fatal(err)
-		}
-		seq, _, ok, err := wal.NewestCheckpoint(dir)
-		if err != nil || !ok {
-			t.Fatalf("write %d: no checkpoint: ok=%v err=%v", i, ok, err)
-		}
-		if want := ds.LastSeq(); seq != want {
-			t.Fatalf("write %d: newest checkpoint covers seq %d, log at %d", i, seq, want)
-		}
-	}
-}

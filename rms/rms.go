@@ -49,9 +49,10 @@
 //	g.TopK(u, 10)                      // query the database as of g
 //	g.RegretRatioFor(u)                // evaluate g's answer for one user
 //
-// Every tuple that enters rms — the initial database and every inserted
-// tuple — must have exactly dim finite, nonnegative values; anything else is
-// rejected with an error wrapping ErrInvalidTuple before any state changes.
+// Every tuple that enters rms — the initial database, every inserted tuple
+// and every tuple of Compute's input — must have exactly dim finite,
+// nonnegative values; anything else is rejected with an error wrapping
+// ErrInvalidTuple before any state changes or any algorithm runs.
 //
 // Stores that must survive a crash or restart wrap the same machinery in a
 // DurableStore: every batch is written to a CRC-checked write-ahead log
@@ -72,7 +73,6 @@ import (
 	"fdrms/internal/baseline"
 	"fdrms/internal/core"
 	"fdrms/internal/geom"
-	"fdrms/internal/nonlinear"
 	"fdrms/internal/regret"
 	"fdrms/internal/skyline"
 	"fdrms/internal/topk"
@@ -125,9 +125,8 @@ type Options struct {
 	// Seed makes all sampling reproducible. Default 1.
 	Seed int64
 	// Shards is the number of utility-state shards used by the batched
-	// update path; zero picks one per available CPU (overridable through
-	// the FDRMS_SHARDS environment variable). The answer never depends on
-	// it — it only tunes ApplyBatch parallelism.
+	// update path; zero picks four per available CPU (4 × GOMAXPROCS). The
+	// answer never depends on it — it only tunes ApplyBatch parallelism.
 	Shards int
 }
 
@@ -227,11 +226,25 @@ func Del(id int) Update { return Update{ID: id, Delete: true} }
 // with errors.Is.
 var ErrInvalidTuple = errors.New("rms: invalid tuple")
 
-// toOps is the one gate every tuple passes on its way into rms, the initial
-// database included: it checks each insertion of batch against a
-// dim-attribute database and appends the batch's engine operations to dst.
-// On error the result holds no operation of batch, so a caller applies all
-// of it or nothing.
+// checkTuple is the per-tuple test every tuple passes on its way into rms:
+// p, found at where[i], must have exactly dim finite, nonnegative values.
+func checkTuple(p Point, dim int, where string, i int) error {
+	if len(p.Values) != dim {
+		return fmt.Errorf("%w: %s[%d]: tuple %d has %d values, database has %d attributes", ErrInvalidTuple, where, i, p.ID, len(p.Values), dim)
+	}
+	for j, v := range p.Values {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: %s[%d]: tuple %d value[%d] = %v, need a finite nonnegative number", ErrInvalidTuple, where, i, p.ID, j, v)
+		}
+	}
+	return nil
+}
+
+// toOps is the one gate every tuple passes on its way into a maintained
+// database, the initial database included: it checks each insertion of
+// batch against a dim-attribute database and appends the batch's engine
+// operations to dst. On error the result holds no operation of batch, so a
+// caller applies all of it or nothing.
 func toOps(dst []topk.Op, batch []Update, dim int) ([]topk.Op, error) {
 	n := len(dst)
 	for i, u := range batch {
@@ -239,16 +252,10 @@ func toOps(dst []topk.Op, batch []Update, dim int) ([]topk.Op, error) {
 			dst = append(dst, topk.DeleteOp(u.ID))
 			continue
 		}
-		p := u.Point
-		if len(p.Values) != dim {
-			return dst[:n], fmt.Errorf("%w: batch[%d]: tuple %d has %d values, database has %d attributes", ErrInvalidTuple, i, p.ID, len(p.Values), dim)
+		if err := checkTuple(u.Point, dim, "batch", i); err != nil {
+			return dst[:n], err
 		}
-		for j, v := range p.Values {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return dst[:n], fmt.Errorf("%w: batch[%d]: tuple %d value[%d] = %v, need a finite nonnegative number", ErrInvalidTuple, i, p.ID, j, v)
-			}
-		}
-		dst = append(dst, topk.InsertOp(toGeom(p)))
+		dst = append(dst, topk.InsertOp(toGeom(u.Point)))
 	}
 	return dst, nil
 }
@@ -306,7 +313,8 @@ func Algorithms() []string {
 
 // Compute runs a static k-RMS algorithm once over P and returns at most r
 // tuples. See Algorithms for the recognized names. Algorithms defined only
-// for k = 1 return an error for larger k.
+// for k = 1 return an error for larger k. A tuple of P that does not fit
+// (see ErrInvalidTuple) fails the call.
 func Compute(algorithm string, P []Point, dim, k, r int, seed int64) ([]Point, error) {
 	alg, ok := baseline.ByName(algorithm, seed)
 	if !ok {
@@ -314,6 +322,11 @@ func Compute(algorithm string, P []Point, dim, k, r int, seed int64) ([]Point, e
 	}
 	if !alg.SupportsK(k) {
 		return nil, fmt.Errorf("rms: algorithm %q does not support k = %d", algorithm, k)
+	}
+	for i, p := range P {
+		if err := checkTuple(p, dim, "P", i); err != nil {
+			return nil, err
+		}
 	}
 	return fromGeoms(alg.Compute(toGeoms(P), dim, k, r)), nil
 }
@@ -338,58 +351,4 @@ func Skyline(P []Point) []Point {
 	out := fromGeoms(skyline.Compute(toGeoms(P)))
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ComputeMinSize solves the dual (min-size) k-RMS problem: the smallest
-// subset whose maximum k-regret ratio stays within eps, via the sampled
-// hitting-set reduction of Agarwal et al. Use it when the tolerable regret
-// is known and the answer size is the quantity to minimize.
-func ComputeMinSize(P []Point, dim, k int, eps float64, seed int64) ([]Point, error) {
-	if eps <= 0 || eps >= 1 {
-		return nil, fmt.Errorf("rms: eps = %v, need 0 < eps < 1", eps)
-	}
-	return fromGeoms(baseline.MinSize(toGeoms(P), dim, k, eps, 2000, seed)), nil
-}
-
-// UtilityClasses lists the nonlinear utility classes supported by
-// ComputeNonlinear: "linear", "convex-L2", "convex-L4", "multiplicative".
-// These extend k-RMS beyond linear preferences (the paper's future-work
-// direction; see internal/nonlinear).
-func UtilityClasses() []string {
-	return []string{"linear", "convex-L2", "convex-L4", "multiplicative"}
-}
-
-func classByName(name string) (nonlinear.Class, error) {
-	switch name {
-	case "linear":
-		return nonlinear.Linear{}, nil
-	case "convex-L2":
-		return nonlinear.ConvexLq{Q: 2}, nil
-	case "convex-L4":
-		return nonlinear.ConvexLq{Q: 4}, nil
-	case "multiplicative":
-		return nonlinear.Multiplicative{}, nil
-	}
-	return nil, fmt.Errorf("rms: unknown utility class %q (see rms.UtilityClasses)", name)
-}
-
-// ComputeNonlinear returns a k-RMS answer of at most r tuples under a
-// nonlinear utility class, via the sampled hitting-set reduction.
-func ComputeNonlinear(class string, P []Point, dim, k, r int, seed int64) ([]Point, error) {
-	c, err := classByName(class)
-	if err != nil {
-		return nil, err
-	}
-	return fromGeoms(nonlinear.Compute(c, toGeoms(P), dim, k, r, 2000, seed)), nil
-}
-
-// MaxRegretRatioNonlinear estimates mrr_k(Q) over P under a nonlinear
-// utility class.
-func MaxRegretRatioNonlinear(class string, P, Q []Point, dim, k, samples int, seed int64) (float64, error) {
-	c, err := classByName(class)
-	if err != nil {
-		return 0, err
-	}
-	ev := nonlinear.NewEvaluator(c, toGeoms(P), dim, k, samples, seed)
-	return ev.MRR(toGeoms(Q)), nil
 }

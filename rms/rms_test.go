@@ -151,27 +151,6 @@ func TestExactMaxRegretRatio(t *testing.T) {
 	}
 }
 
-func TestComputeMinSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	P := randomPoints(rng, 300, 3, 0)
-	q, err := ComputeMinSize(P, 3, 1, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) == 0 {
-		t.Fatal("empty min-size answer")
-	}
-	if mrr := MaxRegretRatio(P, q, 3, 1, 10000, 2); mrr > 0.1+0.04 {
-		t.Fatalf("min-size answer exceeds budget: %v", mrr)
-	}
-	if _, err := ComputeMinSize(P, 3, 1, 0, 1); err == nil {
-		t.Fatal("eps=0 should be rejected")
-	}
-	if _, err := ComputeMinSize(P, 3, 1, 1, 1); err == nil {
-		t.Fatal("eps=1 should be rejected")
-	}
-}
-
 // End-to-end: dynamic maintenance tracks static recomputation quality over
 // a churn-heavy session.
 func TestDynamicVsStaticEndToEnd(t *testing.T) {

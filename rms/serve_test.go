@@ -213,8 +213,9 @@ type genExpect struct {
 // point while a writer streams batches. Every observed generation must be
 // bit-equal to the sequential twin at that generation, ids must be
 // monotonic per reader, and no read may ever see a torn or mid-batch state.
-// Run with -race (and FDRMS_SHARDS=4 in CI) to exercise the lock-free read
-// paths against the shard-parallel write path.
+// Both stores run four shards; run with -race (CI's serving-smoke job does,
+// at GOMAXPROCS=4) to exercise the lock-free read paths against the
+// shard-parallel write path.
 func TestStoreMVCCReadersVsWriterStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	d := 3

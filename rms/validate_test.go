@@ -100,7 +100,8 @@ func TestWritesRejectInvalidTuples(t *testing.T) {
 
 // The initial database passes the same check, and must also list each id
 // once: NewDynamic, NewStore and a fresh OpenDurable all refuse it, and the
-// durable directory is left without state.
+// durable directory is left without state. Compute's input passes the
+// per-tuple check too.
 func TestInitialDatabaseRejectsInvalidTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	type initialCase struct {
@@ -132,6 +133,18 @@ func TestInitialDatabaseRejectsInvalidTuples(t *testing.T) {
 			wantInvalidTuple(t, err)
 			if has, err := rms.HasDurableState(dir); err != nil || has {
 				t.Fatalf("rejected initial database left state behind: %v %v", has, err)
+			}
+		})
+	}
+	// Compute screens its input with the same per-tuple check, whichever
+	// algorithm runs; it keeps no state, so a repeated id is no concern of
+	// its own.
+	for _, tc := range cases[:len(hostileValues)] {
+		t.Run("Compute/"+tc.name, func(t *testing.T) {
+			for _, alg := range rms.Algorithms() {
+				if _, err := rms.Compute(alg, tc.initial, 2, 1, 3, 1); !errors.Is(err, rms.ErrInvalidTuple) {
+					t.Errorf("%s: err = %v, want one wrapping rms.ErrInvalidTuple", alg, err)
+				}
 			}
 		})
 	}
