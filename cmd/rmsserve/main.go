@@ -280,6 +280,11 @@ func healthBody(g *rms.Generation, mt meta) map[string]any {
 	return annotate(body, mt)
 }
 
+// maxUpdateBody caps a POST /update body at the WAL's record limit, which
+// is also what rmsrouter buffers of a forwarded request. Without a cap one
+// request could make the server allocate without bound.
+const maxUpdateBody = 64 << 20
+
 // newMux wires the read and update handlers around a backend. Every read
 // handler pins ONE generation for its whole response, so the fields of a
 // single response are mutually consistent even while batches commit.
@@ -414,7 +419,11 @@ func newMux(b backend, tel *rms.Telemetry, reg *obs.Registry, usePprof bool) *ht
 
 	handle(http.MethodPost, "/update", func(w http.ResponseWriter, req *http.Request) {
 		var ur updateRequest
-		if err := json.NewDecoder(req.Body).Decode(&ur); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxUpdateBody)).Decode(&ur); err != nil {
+			if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+				httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+				return
+			}
 			httpError(w, http.StatusBadRequest, "bad body: %v", err)
 			return
 		}

@@ -398,6 +398,42 @@ func TestServeUpdateRejectsHostileTuple(t *testing.T) {
 	}
 }
 
+// A POST /update body over the cap is refused with 413 in the JSON error
+// shape, and the store does not change. The body is generated as it is
+// sent, so the client never holds it.
+func TestServeUpdateRejectsOversizedBody(t *testing.T) {
+	store := testStore(t, 100, 2)
+	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))
+	defer srv.Close()
+	prefix := `{"insert": [{"id": 1000, "values": [0.5, 0.5]}], "delete": [`
+	body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(spaces{}, maxUpdateBody+1-int64(len(prefix))))
+	resp, err := srv.Client().Post(srv.URL+"/update", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var msg map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
+		t.Fatalf("413 body is not the JSON error shape: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || msg["error"] == "" {
+		t.Fatalf("oversized update: status %d, body %v; want 413 with an error", resp.StatusCode, msg)
+	}
+	if g := get(t, srv, "/stats", 200); g["generation"].(float64) != 1 || g["n"].(float64) != 100 {
+		t.Fatalf("store changed after a refused body: generation %v, n %v", g["generation"], g["n"])
+	}
+}
+
+// spaces streams JSON whitespace forever, so the decoder keeps reading.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
 // The handlers read through Generation, which records fdrms_store_read_ns
 // once telemetry is attached: one /topk and one /regret count one each.
 func TestServeReadsRecordReadLatency(t *testing.T) {

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"slices"
 	"sort"
 
 	"fdrms/internal/geom"
@@ -30,6 +31,10 @@ func (*HittingSet) SupportsK(k int) bool { return k >= 1 }
 
 // Compute implements Algorithm.
 func (h *HittingSet) Compute(P []geom.Point, dim, k, r int) []geom.Point {
+	// greedyHit keeps the first of equally good tuples, and for k > 1 the
+	// pool is all of P, so work on P in id order: the answer must not depend
+	// on the order the caller lists the tuples in.
+	P = sortByID(slices.Clone(P))
 	pool := candidatePool(P, k)
 	if len(pool) == 0 || r <= 0 {
 		return nil

@@ -10,7 +10,6 @@ import (
 
 	"fdrms/internal/dataset"
 	"fdrms/internal/geom"
-	"fdrms/internal/obs"
 	"fdrms/internal/topk"
 )
 
@@ -92,13 +91,11 @@ func sequentialTrace(t *testing.T, d int, pts []geom.Point, cfg Config, ops []to
 // ids at every batch boundary, valid invariants after every batch, and the
 // reference's final counters and size. It returns how many runs fanned out
 // through the shard worker pool.
-func checkBatched(t *testing.T, name string, d int, pts []geom.Point, cfg Config, ops []topk.Op, ref seqTrace, shards, batchSize int) uint64 {
+func checkBatched(t *testing.T, name string, d int, pts []geom.Point, cfg Config, ops []topk.Op, ref seqTrace, shards, batchSize int) int {
 	t.Helper()
 	cfg.Shards = shards
 	f := mustNew(t, d, pts, cfg)
 	defer f.Close()
-	m := topk.NewMetrics(obs.NewRegistry())
-	f.Instrument(m, nil, nil)
 	cell := fmt.Sprintf("%s shards=%d batch=%d", name, shards, batchSize)
 	if a, b := f.ResultIDs(), ref.ids[0]; !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: initial covers differ: %v vs %v", cell, a, b)
@@ -119,7 +116,8 @@ func checkBatched(t *testing.T, name string, d int, pts []geom.Point, cfg Config
 	if a, b := f.Len(), ref.n; a != b {
 		t.Fatalf("%s: sizes diverge: %d vs %d", cell, a, b)
 	}
-	return m.ParallelRuns.Load()
+	eng, _ := f.Counters()
+	return eng.ParallelRuns
 }
 
 // antiCorWorkload is the anti-correlated workload of the stream inputs:

@@ -335,17 +335,10 @@ func (f *FDRMS) RebuildCover() {
 // instrumentation (ablation experiments read its counters).
 func (f *FDRMS) Engine() *topk.Engine { return f.engine }
 
-// Instrument installs metric mirrors on the engine and the cover solver,
-// and (when non-nil) the phase clock behind the engine's per-phase timing.
-// The clock is injected by the caller for the same reason SetPhaseClock
-// takes a function value: timings feed only reporting, and the audited
-// injection boundary keeps this package's determinism contract
-// machine-checkable. Must be called by the structure's single writer; nil
-// arguments uninstall the corresponding piece.
-func (f *FDRMS) Instrument(em *topk.Metrics, cm *setcover.Metrics, clock func() int64) {
-	f.engine.SetMetrics(em)
-	f.engine.SetPhaseClock(clock)
-	f.cover.SetMetrics(cm)
+// Counters returns the engine's and the cover solver's cumulative work
+// counters. Must be called by the structure's single writer.
+func (f *FDRMS) Counters() (topk.Counters, setcover.Counters) {
+	return f.engine.Counters, f.cover.Counters()
 }
 
 // Close releases the engine's persistent shard worker pool. The structure

@@ -1,13 +1,15 @@
 // Checkpoint snapshot of the full FD-RMS maintenance state.
 //
-// FD-RMS state is path-dependent at two layers — the ε-approximate Φ sets
-// and the stable set cover both depend on the exact operation history — so a
-// restartable store cannot rebuild "equivalent" state from the live tuples:
-// it must capture the state that exists. A Snapshot holds exactly the
-// path-dependent parts (Φ with scores, the runner-up buffers, the cover
-// assignment φ, m, and every counter) and re-derives the rest (tuple index,
-// cone tree, inverted index, covers/levels/buckets, and the utility vectors,
-// which come from the configured seed). Restore therefore yields a structure
+// FD-RMS state is path-dependent at two layers — the length of each
+// utility's runner-up buffer and the stable set cover both depend on the
+// exact operation history (Φ itself is a pure function of the utility and
+// the live tuples) — so a restartable store cannot rebuild "equivalent"
+// state from the live tuples: it must capture the state that exists. A
+// Snapshot holds the path-dependent parts (the runner-up buffers, the cover
+// assignment φ, m, and the persisted counters) plus Φ with its scores, and
+// re-derives the rest (tuple index, cone tree, inverted index,
+// covers/levels/buckets, and the utility vectors, which come from the
+// configured seed). Restore therefore yields a structure
 // that is bit-identical to the captured one: same Result, same Stats, same
 // covers — and, because every derived structure is answer-neutral, the same
 // behaviour on every subsequent update.

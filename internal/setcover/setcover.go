@@ -78,13 +78,37 @@ type Solver struct {
 	touched []int32
 	counts  []int32
 
-	// Stats counters for the ablation harness.
+	// Stats counters for the ablation harness and the serving telemetry.
 	Takeovers     int // STABILIZE takeover steps executed
 	Reassignments int // element reassignments due to set-member removals
+}
 
-	// metrics, when set, mirrors the counters above and the slab traffic
-	// into obs handles (see metrics.go). Written only via SetMetrics.
-	metrics *Metrics
+// Counters is one reading of the solver's cumulative work counters and its
+// slab's allocation traffic: the freelist-hit ratio is SlabReuse/(SlabReuse
+// + SlabFresh), utilization is SlabLiveWords/SlabWords.
+type Counters struct {
+	Takeovers     int // STABILIZE takeover steps executed
+	Reassignments int // element reassignments due to set-member removals
+	SlabReuse     int // fragment allocations served by a freelist
+	SlabFresh     int // fragment allocations carved from the slab tail
+	SlabReleases  int // fragments threaded back onto freelists
+	SlabLiveWords int // int32 words in fragments currently allocated
+	SlabWords     int // int32 words carved from the slab tail (never shrinks)
+}
+
+// Counters returns the solver's current counters. Caller must hold the
+// solver's single-writer role.
+func (sv *Solver) Counters() Counters {
+	a := &sv.arena
+	return Counters{
+		Takeovers:     sv.Takeovers,
+		Reassignments: sv.Reassignments,
+		SlabReuse:     a.reuse,
+		SlabFresh:     a.fresh,
+		SlabReleases:  a.releases,
+		SlabLiveWords: a.live,
+		SlabWords:     len(a.data),
+	}
 }
 
 // setRec is the per-set state. cover and level are meaningful while chosen;
@@ -525,7 +549,6 @@ func (sv *Solver) RemoveSetMember(s, e int) {
 			sv.assignTo(ei, s2)
 			sv.relevel(s2)
 			sv.Reassignments++
-			sv.metrics.mirrorReassignment()
 		} else {
 			sv.nOrphans++
 		}
@@ -632,7 +655,6 @@ func (sv *Solver) stabilize() {
 			continue // stale entry
 		}
 		sv.Takeovers++
-		sv.metrics.mirrorTakeover()
 		// Take over every element of S ∩ A_j, in ascending element id.
 		moved := append(sv.moved[:0], sv.arena.view(b)...)
 		slices.SortFunc(moved, func(x, y int32) int {

@@ -59,8 +59,9 @@ func classFor(n int) int8 {
 // intrusive freelist of class c (-1 when empty).
 //
 // The header is padded onto exclusive cache lines: the data slice header is
-// rewritten on every fresh carve and the freelist heads on every alloc/
-// release, making these the hottest write targets of cover maintenance.
+// rewritten on every fresh carve, the freelist heads on every alloc/release
+// and the traffic counters beside data on both, making these the hottest
+// write targets of cover maintenance.
 // The slab is embedded at the head of Solver, so without the padding those
 // writes share cache lines with the solver's id-translation maps — read on
 // every operation, including by whatever runs concurrently with the solver
@@ -71,15 +72,13 @@ func classFor(n int) int8 {
 // lines of padding cost nothing at one slab per solver.
 type slab struct {
 	data []int32
-	_    [40]byte // data's slice header alone on its cache line
+	// Allocation traffic (see Counters): freelist hits, fresh carves,
+	// releases, and the words of currently allocated fragments.
+	reuse, fresh, releases, live int
+	_                            [8]byte // data and the counters alone on one cache line
 
 	free [slabClasses]int32
 	_    [16]byte // round the freelist heads up to whole cache lines
-
-	// met, when set, mirrors allocation traffic into obs handles. Read-only
-	// after SetMetrics, so it rides after the padded hot words without
-	// re-introducing the sharing the padding exists to prevent.
-	met *Metrics
 }
 
 func (a *slab) init() {
@@ -93,10 +92,8 @@ func (a *slab) init() {
 func (a *slab) alloc(cls int8) int32 {
 	if h := a.free[cls]; h >= 0 {
 		a.free[cls] = a.data[h]
-		if m := a.met; m != nil {
-			m.AllocReuse.Inc()
-			m.SlabLiveWords.Add(int64(spanCap(cls)))
-		}
+		a.reuse++
+		a.live += spanCap(cls)
 		return h
 	}
 	n := spanCap(cls)
@@ -110,11 +107,8 @@ func (a *slab) alloc(cls int8) int32 {
 		a.data = slices.Grow(a.data, n)
 	}
 	a.data = a.data[:off+n]
-	if m := a.met; m != nil {
-		m.AllocFresh.Inc()
-		m.SlabWords.Set(int64(len(a.data)))
-		m.SlabLiveWords.Add(int64(n))
-	}
+	a.fresh++
+	a.live += n
 	return int32(off)
 }
 
@@ -122,10 +116,8 @@ func (a *slab) alloc(cls int8) int32 {
 func (a *slab) release(off int32, cls int8) {
 	a.data[off] = a.free[cls]
 	a.free[cls] = off
-	if m := a.met; m != nil {
-		m.Releases.Inc()
-		m.SlabLiveWords.Add(-int64(spanCap(cls)))
-	}
+	a.releases++
+	a.live -= spanCap(cls)
 }
 
 // view returns the live values of sp. The slice aliases the slab: it stays

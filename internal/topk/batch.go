@@ -334,7 +334,6 @@ func (e *Engine) flushInsertRun(run []insOp, emit func(op Op, changes []Change))
 		e.tree.Insert(run[i].op.Point)
 	}
 	e.InsertOps += len(run)
-	e.metrics.mirrorOps(false, len(run))
 	t2 := e.now()
 
 	tasks, results := e.phaseScratch()
@@ -435,7 +434,6 @@ func (e *Engine) flushDeleteRun(run []Op, emit func(op Op, changes []Change)) {
 		e.tree.Delete(op.ID)
 	}
 	e.DeleteOps += len(run)
-	e.metrics.mirrorOps(true, len(run))
 	t2 := e.now()
 
 	e.runPhase(true, nil, run, base, runPos, total)
@@ -484,7 +482,7 @@ func (e *Engine) runPhase(del bool, insRun []insOp, delRun []Op, base uint64, ru
 		}
 		return
 	}
-	e.metrics.mirrorParallel()
+	e.ParallelRuns++
 	e.dispatch(phaseJob{del: del, insRun: insRun, delRun: delRun, base: base, runPos: runPos}, active)
 }
 
@@ -497,8 +495,8 @@ func (e *Engine) phaseTasks(del bool, s int) int {
 }
 
 // phaseWork runs shard s's worker for the phase kind. The busy-time stamp
-// feeds the pool's busy-time metric; the clock hook must be safe for
-// concurrent calls (see SetPhaseClock).
+// feeds the BusyNs counter; the clock hook must be safe for concurrent calls
+// (see SetPhaseClock).
 func (e *Engine) phaseWork(del bool, s int, insRun []insOp, delRun []Op, base uint64, runPos map[int]int) {
 	sc := &e.scratch
 	start := e.now()
@@ -705,7 +703,6 @@ func (e *Engine) emitRunGroups(n int, insRun []insOp, delRun []Op, results []sha
 		total += len(results[s].changes)
 	}
 	e.Changes += total
-	e.metrics.mirrorChanges(total)
 	var backing []Change
 	if total > 0 {
 		backing = make([]Change, 0, total)
@@ -853,5 +850,5 @@ func (e *Engine) mergePhase(results []shardResult) {
 	e.AffectedTotal += affected
 	e.Requeries += requeries
 	e.Promotions += promotions
-	e.metrics.mirrorMerge(affected, requeries, promotions, busy)
+	e.BusyNs += busy
 }

@@ -122,14 +122,13 @@ func (e *Engine) dispatch(job phaseJob, active int) {
 	}
 	e.pool.order = order
 	e.pool.cur = job
-	e.metrics.mirrorDispatch(active)
+	e.ShardJobs += active
 	e.pool.wg.Add(active)
 	for _, s := range order {
 		e.pool.queue <- s
 	}
 	e.pool.wg.Wait()
 	e.pool.cur = phaseJob{} // don't pin the run's tuples past the phase
-	e.metrics.mirrorDrained()
 }
 
 // Close tears down the worker pool. It is idempotent, safe to call on an

@@ -1,7 +1,11 @@
 package topk
 
-// phaseNanos is the accumulated wall-time breakdown of the batched update
-// path, split along the pipeline stages of one run:
+// Counters are the engine's cumulative work counters. They are plain ints
+// owned by the single writer; the serving layer reads them between commits
+// and publishes each commit's change (rms/telemetry.go), so the engine
+// counts every event exactly once and knows no metric names.
+//
+// The per-phase times split one run along the pipeline stages:
 //
 //	candidate — utility-index probes and task-list construction
 //	index     — tuple-index mutation (inserts or tombstoning)
@@ -9,10 +13,22 @@ package topk
 //	merge     — counter folding and cone-tree threshold repair
 //	emit      — the k-way change merge and group emission
 //
-// All times are deltas of the installed phase clock (SetPhaseClock) and
-// zero when no clock is installed.
-type phaseNanos struct {
-	candidate, index, fanout, merge, emit int64
+// Every time is a delta of the installed phase clock (SetPhaseClock) and
+// stays zero when no clock is installed.
+type Counters struct {
+	InsertOps     int // insert operations processed
+	DeleteOps     int // delete operations processed
+	AffectedTotal int // utilities whose Φ changed, summed over operations
+	Requeries     int // fresh tuple-index top-k queries during maintenance
+	Promotions    int // top-k vacancies filled by a buffered runner-up
+	Changes       int // membership changes emitted across runs
+
+	Runs         int   // insert/delete runs executed by the batch path
+	ParallelRuns int   // runs dispatched to the worker pool (one dispatch each)
+	ShardJobs    int   // shard jobs enqueued across pool dispatches
+	BusyNs       int64 // summed worker wall time across phases
+
+	CandNs, IndexNs, FanoutNs, MergeNs, EmitNs int64 // per-phase wall time
 }
 
 // SetPhaseClock installs (or, with nil, removes) the timestamp source for
@@ -30,12 +46,10 @@ type phaseNanos struct {
 // engine's single writer, like every mutating entry point.
 func (e *Engine) SetPhaseClock(clock func() int64) { e.clock = clock }
 
-// PhaseTotals returns the accumulated per-phase nanosecond counters, which
-// the serving telemetry snapshots around every batch. Caller must hold the
-// engine's single-writer role.
+// PhaseTotals returns the accumulated per-phase nanosecond counters. Caller
+// must hold the engine's single-writer role.
 func (e *Engine) PhaseTotals() (candidate, index, fanout, merge, emit int64) {
-	p := e.prof
-	return p.candidate, p.index, p.fanout, p.merge, p.emit
+	return e.CandNs, e.IndexNs, e.FanoutNs, e.MergeNs, e.EmitNs
 }
 
 // now returns the phase-clock timestamp, or 0 with no clock installed.
@@ -46,23 +60,18 @@ func (e *Engine) now() int64 {
 	return e.clock()
 }
 
-// recordPhase folds one run's boundary timestamps into the profile.
-// The seven stamps bracket, in order: candidate probing, index mutation,
-// task building, the parallel fan-out, the merge, and group emission.
+// recordPhase counts one run and folds its boundary timestamps into the
+// phase times. The seven stamps bracket, in order: candidate probing,
+// index mutation, task building, the parallel fan-out, the merge, and
+// group emission.
 func (e *Engine) recordPhase(probe0, probe1, index1, build1, fanout1, merge1, emit1 int64) {
+	e.Runs++
 	if e.clock == nil {
-		e.metrics.mirrorPhase(0, 0, 0, 0, 0)
 		return
 	}
-	cand := (probe1 - probe0) + (build1 - index1)
-	index := index1 - probe1
-	fanout := fanout1 - build1
-	merge := merge1 - fanout1
-	emit := emit1 - merge1
-	e.prof.candidate += cand
-	e.prof.index += index
-	e.prof.fanout += fanout
-	e.prof.merge += merge
-	e.prof.emit += emit
-	e.metrics.mirrorPhase(cand, index, fanout, merge, emit)
+	e.CandNs += (probe1 - probe0) + (build1 - index1)
+	e.IndexNs += index1 - probe1
+	e.FanoutNs += fanout1 - build1
+	e.MergeNs += merge1 - fanout1
+	e.EmitNs += emit1 - merge1
 }

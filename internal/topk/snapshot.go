@@ -3,10 +3,12 @@
 // What must be persisted verbatim and what is derivable was chosen for
 // bit-identical recovery:
 //
-//   - Φ membership (id → score) is path-dependent — the ε-slack admits
-//     tuples lazily and evicts them only when the threshold rises — so the
-//     member sets and their scores are captured exactly (scores as IEEE-754
-//     bits, sidestepping any question of recomputation order).
+//   - Φ membership is a pure function of (u, P_t): the live tuples scoring
+//     at least (1-ε)·ω_k, which TestEngineExactQuick checks against brute
+//     force after random insert/delete sequences. It is captured anyway,
+//     member ids with their scores as IEEE-754 bits, so restore runs no
+//     index query per utility and no question of recomputation order
+//     arises.
 //   - The runner-up buffer is path-dependent in LENGTH (rebuild timing
 //     decides how many runners-up are in stock), and its length decides when
 //     the next rebuild or requery happens, so the buffer's id sequence is
@@ -140,15 +142,17 @@ func RestoreEngine(s *EngineSnapshot, utilities []Utility, nshards int) (*Engine
 		}
 	}
 	e := &Engine{
-		k:             s.K,
-		eps:           s.Eps,
-		dim:           s.Dim,
-		tree:          kdtree.New(s.Dim, s.Points),
-		shards:        make([]shard, nshards),
-		InsertOps:     s.InsertOps,
-		DeleteOps:     s.DeleteOps,
-		AffectedTotal: s.AffectedTotal,
-		Requeries:     s.Requeries,
+		k:      s.K,
+		eps:    s.Eps,
+		dim:    s.Dim,
+		tree:   kdtree.New(s.Dim, s.Points),
+		shards: make([]shard, nshards),
+		Counters: Counters{
+			InsertOps:     s.InsertOps,
+			DeleteOps:     s.DeleteOps,
+			AffectedTotal: s.AffectedTotal,
+			Requeries:     s.Requeries,
+		},
 	}
 	e.shardBlock = (maxID + nshards) / nshards
 	if e.shardBlock < 1 {

@@ -186,25 +186,14 @@ type Engine struct {
 	}
 
 	// clock, when set, timestamps the batch phases for the profiling report
-	// (see SetPhaseClock); prof accumulates the per-phase breakdown.
+	// (see SetPhaseClock).
 	clock func() int64
-	prof  phaseNanos
-
-	// metrics, when set, mirrors the counters and phase deltas into obs
-	// handles at run granularity (see metrics.go). Written only by the
-	// single writer via SetMetrics.
-	metrics *Metrics
 
 	// snap is the armed streaming-snapshot session, if any (snapstream.go).
 	snap snapSession
 
 	// Counters for the ablation experiments and the serving telemetry.
-	InsertOps     int // insert operations processed
-	DeleteOps     int // delete operations processed
-	AffectedTotal int // utilities whose Φ changed, summed over operations
-	Requeries     int // fresh tuple-index top-k queries during maintenance
-	Promotions    int // top-k vacancies filled by a buffered runner-up
-	Changes       int // membership changes emitted across runs
+	Counters
 }
 
 // NewEngine indexes the initial database and computes Φ_{k,ε} for every

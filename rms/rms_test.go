@@ -2,6 +2,7 @@ package rms
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -118,6 +119,45 @@ func TestComputeAllAlgorithms(t *testing.T) {
 	if _, err := Compute("DP-2D", hotelPoints(), 2, 1, 3, 1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Every static algorithm answers the same on a shuffled copy of its input:
+// the caller's tuple order (a map's, say) must not leak into the answer.
+func TestComputeIndependentOfInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, d := range []int{2, 4} {
+		P := randomPoints(rng, 300, d, 0)
+		shuffled := slices.Clone(P)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, name := range Algorithms() {
+			if name == "DP-2D" && d != 2 {
+				continue
+			}
+			for k := 1; k <= 3; k++ {
+				a, err := Compute(name, P, d, k, 8, 1)
+				if err != nil {
+					continue // k unsupported; TestComputeErrors covers the error
+				}
+				b, err := Compute(name, shuffled, d, k, 8, 1)
+				if err != nil {
+					t.Fatalf("%s d=%d k=%d: shuffled input fails: %v", name, d, k, err)
+				}
+				if ia, ib := sortedIDs(a), sortedIDs(b); !slices.Equal(ia, ib) {
+					t.Errorf("%s d=%d k=%d: %v on the input, %v on a shuffled copy", name, d, k, ia, ib)
+				}
+			}
+		}
+	}
+}
+
+// sortedIDs returns the ids of pts in ascending order.
+func sortedIDs(pts []Point) []int {
+	out := make([]int, len(pts))
+	for i, p := range pts {
+		out[i] = p.ID
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestComputeErrors(t *testing.T) {

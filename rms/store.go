@@ -31,8 +31,8 @@ type Store struct {
 	ops    []topk.Op // per-write batch conversion scratch; guarded by wmu
 	deltas []idDelta // per-write membership delta scratch; guarded by wmu
 
-	// tel, when set, mirrors serving traffic into obs handles (see
-	// SetTelemetry in telemetry.go). Atomic so lock-free readers can pick it
+	// tel, when set, receives each commit's counter deltas and every read's
+	// latency (see SetTelemetry in telemetry.go). Atomic so lock-free readers can pick it
 	// up without racing the attach; nil costs readers one load+branch.
 	tel atomic.Pointer[Telemetry]
 }

@@ -9,10 +9,15 @@
 // than families popping into existence with traffic — monitoring rules can
 // be written against a fixed set.
 //
+// The engine and the cover solver keep plain cumulative counters and know
+// no metric names. The store reads both before and after every commit
+// (traceBegin, traceEnd) and publishes the difference: each counter's
+// commit delta goes into its family and into the commit's BatchTrace, so
+// every event is counted once, and only at commit boundaries.
+//
 // The rms package sits outside the engine's determinism contract, so it
 // may read the wall clock; timings cross into the contract-bound engine
-// only through the audited SetPhaseClock injection boundary (see
-// core.Instrument).
+// only through the audited SetPhaseClock injection boundary.
 package rms
 
 import (
@@ -42,10 +47,18 @@ const traceRingSize = 256
 type Telemetry struct {
 	reg *obs.Registry
 
-	// Per-layer handle sets, installed into the respective components.
-	Engine *topk.Metrics
-	Cover  *setcover.Metrics
-	WAL    *wal.Metrics
+	// WAL is the log's handle set, installed by DurableStore.SetTelemetry.
+	WAL *wal.Metrics
+
+	// Engine and cover-solver families, written only by traceEnd.
+	insertOps, deleteOps                       *obs.Counter
+	affected, requeries, promotions, changes   *obs.Counter
+	runs, parallelRuns                         *obs.Counter
+	candNs, indexNs, fanoutNs, mergeNs, emitNs *obs.Counter
+	dispatches, shardJobs, busyNs              *obs.Counter
+	takeovers, reassignments                   *obs.Counter
+	slabReuse, slabFresh, slabReleases         *obs.Counter
+	slabWords, slabLiveWords                   *obs.Gauge
 
 	publishes *obs.Counter
 
@@ -70,11 +83,44 @@ func NewTelemetry(reg *obs.Registry) *Telemetry {
 	readNs := func(kind string) *obs.Histogram {
 		return reg.Histogram("fdrms_store_read_ns", "latency of one lock-free store read, nanoseconds", obs.L("kind", kind))
 	}
+	ops := func(kind string) *obs.Counter {
+		return reg.Counter("fdrms_topk_ops_total", "operations processed by the engine", obs.L("kind", kind))
+	}
+	phaseNs := func(p string) *obs.Counter {
+		return reg.Counter("fdrms_topk_phase_ns_total",
+			"nanoseconds per batch pipeline phase (injected phase clock; 0 without one)", obs.L("phase", p))
+	}
+	slabAlloc := func(src string) *obs.Counter {
+		return reg.Counter("fdrms_setcover_slab_alloc_total", "slab fragment allocations", obs.L("src", src))
+	}
 	return &Telemetry{
-		reg:    reg,
-		Engine: topk.NewMetrics(reg),
-		Cover:  setcover.NewMetrics(reg),
-		WAL:    wal.NewMetrics(reg),
+		reg: reg,
+		WAL: wal.NewMetrics(reg),
+
+		insertOps:    ops("insert"),
+		deleteOps:    ops("delete"),
+		affected:     reg.Counter("fdrms_topk_affected_total", "utilities whose Phi changed, summed over operations"),
+		requeries:    reg.Counter("fdrms_topk_requeries_total", "fresh tuple-index top-k queries during maintenance"),
+		promotions:   reg.Counter("fdrms_topk_promotions_total", "top-k vacancies filled by a buffered runner-up (no requery)"),
+		changes:      reg.Counter("fdrms_topk_changes_total", "membership changes emitted to the set-cover layer"),
+		runs:         reg.Counter("fdrms_topk_runs_total", "insert/delete runs executed by the batch path"),
+		parallelRuns: reg.Counter("fdrms_topk_parallel_runs_total", "runs whose fan-out went through the worker pool"),
+		candNs:       phaseNs("candidate"),
+		indexNs:      phaseNs("index"),
+		fanoutNs:     phaseNs("fanout"),
+		mergeNs:      phaseNs("merge"),
+		emitNs:       phaseNs("emit"),
+		dispatches:   reg.Counter("fdrms_pool_dispatches_total", "parallel phases dispatched to the worker pool"),
+		shardJobs:    reg.Counter("fdrms_pool_shard_jobs_total", "shard jobs enqueued across pool dispatches"),
+		busyNs:       reg.Counter("fdrms_pool_busy_ns_total", "summed worker wall time across phases (injected phase clock)"),
+
+		takeovers:     reg.Counter("fdrms_setcover_takeovers_total", "STABILIZE takeover steps executed"),
+		reassignments: reg.Counter("fdrms_setcover_reassignments_total", "element reassignments due to set-member removals"),
+		slabReuse:     slabAlloc("freelist"),
+		slabFresh:     slabAlloc("fresh"),
+		slabReleases:  reg.Counter("fdrms_setcover_slab_releases_total", "slab fragments threaded back onto freelists"),
+		slabWords:     reg.Gauge("fdrms_setcover_slab_words", "int32 words carved from the slab tail (never shrinks)"),
+		slabLiveWords: reg.Gauge("fdrms_setcover_slab_live_words", "int32 words in fragments currently allocated"),
 
 		publishes: reg.Counter("fdrms_store_publishes_total", "generations published (committed writes)"),
 
@@ -100,7 +146,7 @@ func (t *Telemetry) Trace() *obs.TraceRing {
 }
 
 // PhaseVars is the phase breakdown served by /debug/vars, read from the
-// engine's atomic mirrors (safe against a concurrent writer).
+// engine families (atomic, so safe against a concurrent writer).
 type PhaseVars struct {
 	Runs         uint64 `json:"runs"`
 	ParallelRuns uint64 `json:"parallel_runs"`
@@ -129,33 +175,37 @@ func (t *Telemetry) DebugVars() DebugVars {
 		TracesTotal: t.traces.Total(),
 		Traces:      t.traces.Snapshot(),
 		Phase: PhaseVars{
-			Runs:         t.Engine.Runs.Load(),
-			ParallelRuns: t.Engine.ParallelRuns.Load(),
-			CandidateNs:  t.Engine.CandNs.Load(),
-			IndexNs:      t.Engine.IndexNs.Load(),
-			FanoutNs:     t.Engine.FanoutNs.Load(),
-			MergeNs:      t.Engine.MergeNs.Load(),
-			EmitNs:       t.Engine.EmitNs.Load(),
+			Runs:         t.runs.Load(),
+			ParallelRuns: t.parallelRuns.Load(),
+			CandidateNs:  t.candNs.Load(),
+			IndexNs:      t.indexNs.Load(),
+			FanoutNs:     t.fanoutNs.Load(),
+			MergeNs:      t.mergeNs.Load(),
+			EmitNs:       t.emitNs.Load(),
 		},
 	}
 }
 
-// SetTelemetry attaches the bundle to the store: metric mirrors and the
-// phase clock go into the engine and cover solver, and gauges for the
-// published generation (id, age, live tuples) are registered against this
-// store (re-attaching another store to the same Telemetry repoints them —
-// last writer wins, matching sequential store lifecycles). A nil Telemetry
-// detaches instrumentation. Reads pick the change up atomically; writers
-// must not race the call, so attach before heavy ingestion starts.
+// SetTelemetry attaches the bundle to the store: the phase clock goes into
+// the engine, every later commit publishes its counter deltas, the slab
+// gauges take this store's levels, and gauges for the published generation
+// (id, age, live tuples) are registered against this store (re-attaching
+// another store to the same Telemetry repoints them — last writer wins,
+// matching sequential store lifecycles). A nil Telemetry detaches
+// instrumentation. Reads pick the change up atomically; writers must not
+// race the call, so attach before heavy ingestion starts.
 func (s *Store) SetTelemetry(t *Telemetry) {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	if t == nil {
 		s.tel.Store(nil)
-		s.d.f.Instrument(nil, nil, nil)
+		s.d.f.Engine().SetPhaseClock(nil)
 		return
 	}
-	s.d.f.Instrument(t.Engine, t.Cover, monotonicNanos)
+	s.d.f.Engine().SetPhaseClock(monotonicNanos)
+	_, c := s.d.f.Counters()
+	t.slabWords.Set(int64(c.SlabWords))
+	t.slabLiveWords.Set(int64(c.SlabLiveWords))
 	t.reg.GaugeFunc("fdrms_store_generation", "id of the newest published generation", func() float64 {
 		if g := s.gen.Load(); g != nil {
 			return float64(g.id)
@@ -177,63 +227,83 @@ func (s *Store) SetTelemetry(t *Telemetry) {
 	s.tel.Store(t)
 }
 
-// traceSnap is the pre-write snapshot behind one BatchTrace: engine
-// counters and phase totals before the batch, so the record carries exact
-// per-batch deltas. The zero value means "tracing off".
+// traceSnap is the pre-write reading behind one commit's deltas: the
+// engine and solver counters before the batch. The zero value means
+// "tracing off".
 type traceSnap struct {
-	on        bool
-	t0        int64
-	requeries int
-	changes   int
-	cand      int64
-	index     int64
-	fanout    int64
-	merge     int64
-	emit      int64
+	on    bool
+	t0    int64
+	eng   topk.Counters
+	cover setcover.Counters
 }
 
-// traceBegin snapshots the engine counters before a write; wmu must be
-// held. Free (one branch) when no telemetry is attached.
+// traceBegin reads the counters before a write; wmu must be held. Free (one
+// branch) when no telemetry is attached.
 func (s *Store) traceBegin() traceSnap {
-	t := s.tel.Load()
-	if t == nil {
+	if s.tel.Load() == nil {
 		return traceSnap{}
 	}
-	e := s.d.f.Engine()
-	ts := traceSnap{on: true, t0: monotonicNanos(), requeries: e.Requeries, changes: e.Changes}
-	ts.cand, ts.index, ts.fanout, ts.merge, ts.emit = e.PhaseTotals()
+	ts := traceSnap{on: true, t0: monotonicNanos()}
+	ts.eng, ts.cover = s.d.f.Counters()
 	return ts
 }
 
-// traceEnd records one committed write into the trace ring and counts the
-// publish; wmu must still be held (the engine counters and the published
-// generation are read in writer context).
+// traceEnd publishes one committed write: every engine and solver counter's
+// change since traceBegin goes into its family, the slab gauges take the
+// solver's levels, and the trace ring gets the commit's record; wmu must
+// still be held (the counters and the published generation are read in
+// writer context).
 func (s *Store) traceEnd(ts traceSnap, inserts, deletes int) {
 	t := s.tel.Load()
 	if t == nil || !ts.on {
 		return
 	}
 	t.publishes.Inc()
-	e := s.d.f.Engine()
-	cand, index, fanout, merge, emit := e.PhaseTotals()
+	e, c := s.d.f.Counters()
+	b, bc := &ts.eng, &ts.cover
 	var gen uint64
 	if g := s.gen.Load(); g != nil {
 		gen = g.id
 	}
-	t.traces.Record(&obs.BatchTrace{
+	tr := obs.BatchTrace{
 		Generation: gen,
 		Ops:        inserts + deletes,
 		Inserts:    inserts,
 		Deletes:    deletes,
-		Changes:    e.Changes - ts.changes,
-		Requeries:  e.Requeries - ts.requeries,
-		CandNs:     cand - ts.cand,
-		IndexNs:    index - ts.index,
-		FanoutNs:   fanout - ts.fanout,
-		MergeNs:    merge - ts.merge,
-		EmitNs:     emit - ts.emit,
+		Changes:    e.Changes - b.Changes,
+		Requeries:  e.Requeries - b.Requeries,
+		CandNs:     e.CandNs - b.CandNs,
+		IndexNs:    e.IndexNs - b.IndexNs,
+		FanoutNs:   e.FanoutNs - b.FanoutNs,
+		MergeNs:    e.MergeNs - b.MergeNs,
+		EmitNs:     e.EmitNs - b.EmitNs,
 		TotalNs:    monotonicNanos() - ts.t0,
-	})
+	}
+	t.insertOps.Add(uint64(e.InsertOps - b.InsertOps))
+	t.deleteOps.Add(uint64(e.DeleteOps - b.DeleteOps))
+	t.affected.Add(uint64(e.AffectedTotal - b.AffectedTotal))
+	t.requeries.Add(uint64(tr.Requeries))
+	t.promotions.Add(uint64(e.Promotions - b.Promotions))
+	t.changes.Add(uint64(tr.Changes))
+	t.runs.Add(uint64(e.Runs - b.Runs))
+	t.parallelRuns.Add(uint64(e.ParallelRuns - b.ParallelRuns))
+	t.candNs.Add(uint64(tr.CandNs))
+	t.indexNs.Add(uint64(tr.IndexNs))
+	t.fanoutNs.Add(uint64(tr.FanoutNs))
+	t.mergeNs.Add(uint64(tr.MergeNs))
+	t.emitNs.Add(uint64(tr.EmitNs))
+	// Every parallel run is exactly one pool dispatch.
+	t.dispatches.Add(uint64(e.ParallelRuns - b.ParallelRuns))
+	t.shardJobs.Add(uint64(e.ShardJobs - b.ShardJobs))
+	t.busyNs.Add(uint64(e.BusyNs - b.BusyNs))
+	t.takeovers.Add(uint64(c.Takeovers - bc.Takeovers))
+	t.reassignments.Add(uint64(c.Reassignments - bc.Reassignments))
+	t.slabReuse.Add(uint64(c.SlabReuse - bc.SlabReuse))
+	t.slabFresh.Add(uint64(c.SlabFresh - bc.SlabFresh))
+	t.slabReleases.Add(uint64(c.SlabReleases - bc.SlabReleases))
+	t.slabWords.Set(int64(c.SlabWords))
+	t.slabLiveWords.Set(int64(c.SlabLiveWords))
+	t.traces.Record(&tr)
 }
 
 // SetTelemetry attaches the bundle to the durable store: the embedded

@@ -156,6 +156,38 @@ func TestGenerationReadsAllocNothingExtraWithTelemetry(t *testing.T) {
 	}
 }
 
+// A commit allocates the same with telemetry attached as without: the
+// per-commit publish reads plain counters into preallocated handles.
+func TestCommitAllocsNothingExtraWithTelemetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	d := 3
+	store, err := rms.NewStore(d, randomTuples(rng, 200, d, 0), rms.Options{K: 1, R: 5, Epsilon: 0.05, MaxUtilities: 64, Seed: 7, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// Every commit inserts one of two spare tuples and deletes the other,
+	// so each measured commit does the same work.
+	spare := randomTuples(rng, 2, d, 1000)
+	if err := store.Insert(spare[0]); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	commit := func() {
+		in, out := spare[(i+1)%2], spare[i%2]
+		i++
+		if err := store.ApplyBatch([]rms.Update{rms.Ins(in), rms.Del(out.ID)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	without := testing.AllocsPerRun(runs, commit)
+	store.SetTelemetry(rms.NewTelemetry(obs.NewRegistry()))
+	if with := testing.AllocsPerRun(runs, commit); with != without {
+		t.Errorf("%v allocs per commit with telemetry, %v without", with, without)
+	}
+}
+
 // The durable store wires the WAL and checkpoint shares on top of the
 // store's: appends and fsyncs mirror per batch, Checkpoint counts itself
 // with duration and chunk-stall samples.
