@@ -28,6 +28,12 @@
 // backend's replication position (state, applied_seq, staleness_ms where
 // meaningful), so clients and routers can reason about versions and lag.
 //
+// A primary whose write-ahead log fails (a write, flush, fsync or rotation
+// error) turns read-only until restarted: the POST /update that hit the
+// failure, and every later one, answers 503 "outcome unknown" — the batch may
+// or may not be on disk, and recovery on restart decides — while /readyz
+// answers 503 with the reason and reads keep serving the last generation.
+//
 // With -pprof, the standard net/http/pprof profiling handlers are mounted
 // under /debug/pprof/. A request hitting a registered path with the wrong
 // method gets 405 with an Allow header rather than 404.
@@ -181,9 +187,16 @@ type durableBackend struct{ ds *rms.DurableStore }
 
 func (b *durableBackend) Gen() *rms.Generation { return b.ds.Current() }
 func (b *durableBackend) Meta() meta {
-	return meta{State: "serving", AppliedSeq: b.ds.AppliedSeq(), HasSeq: true}
+	mt := meta{State: "serving", AppliedSeq: b.ds.AppliedSeq(), HasSeq: true}
+	if err := b.ds.Err(); err != nil {
+		mt.Reason = err.Error()
+	}
+	return mt
 }
-func (b *durableBackend) Ready() (bool, meta) { return true, b.Meta() }
+func (b *durableBackend) Ready() (bool, meta) {
+	mt := b.Meta()
+	return mt.Reason == "", mt
+}
 func (b *durableBackend) Apply(batch []rms.Update) (*rms.Generation, error) {
 	err := b.ds.ApplyBatch(batch)
 	if err != nil && errors.Is(err, rms.ErrAutoCheckpoint) {
@@ -435,11 +448,14 @@ func newMux(b backend, tel *rms.Telemetry, reg *obs.Registry, usePprof bool) *ht
 			batch = append(batch, rms.Del(id))
 		}
 		g, err := b.Apply(batch)
-		if errors.Is(err, errReadOnly) {
+		switch {
+		case errors.Is(err, errReadOnly):
 			httpError(w, http.StatusForbidden, "%v", err)
 			return
-		}
-		if err != nil {
+		case errors.Is(err, rms.ErrLogFailed):
+			httpError(w, http.StatusServiceUnavailable, "outcome unknown: %v", err)
+			return
+		case err != nil:
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}

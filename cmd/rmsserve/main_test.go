@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -449,5 +451,66 @@ func TestServeReadsRecordReadLatency(t *testing.T) {
 		if got := reg.Histogram("fdrms_store_read_ns", "", obs.L("kind", kind)).Count(); got != 1 {
 			t.Fatalf("fdrms_store_read_ns{kind=%q} counted %d reads, want 1", kind, got)
 		}
+	}
+}
+
+// A primary whose log failed turns read-only: POST /update answers 503
+// "outcome unknown", never 400, for the write that hit the failure and every
+// later one; /readyz answers 503 with the reason; reads keep serving the
+// last generation.
+func TestServeFailStopAnswers503(t *testing.T) {
+	pts := make([]rms.Point, 50)
+	for i := range pts {
+		pts[i] = rms.Point{ID: i, Values: []float64{float64(i%7) / 7, float64(i%5) / 5}}
+	}
+	dir := filepath.Join(t.TempDir(), "wal")
+	ds, err := rms.OpenDurable(dir, 2, pts, rms.Options{K: 1, R: 5, Epsilon: 0.05, MaxUtilities: 128, Seed: 1},
+		rms.DurableOptions{SyncEveryBatch: true, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	srv := httptest.NewServer(newMux(&durableBackend{ds: ds}, nil, nil, false))
+	defer srv.Close()
+	post := func(body string) (int, map[string]any) {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+"/update", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out
+	}
+	if code, out := post(`{"insert": [{"id": 1000, "values": [0.5, 0.5]}]}`); code != 200 {
+		t.Fatalf("update before the failure: status %d, body %v", code, out)
+	}
+	gen := get(t, srv, "/result", 200)["generation"]
+
+	// Every append rotates, so with the directory gone the next one cannot
+	// create its segment. Restoring the directory does not revive the log.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		code, out := post(`{"insert": [{"id": 1001, "values": [0.6, 0.6]}]}`)
+		if msg, _ := out["error"].(string); code != 503 || !strings.Contains(msg, "outcome unknown") {
+			t.Fatalf("update %d after the log failed: status %d, body %v; want 503 outcome unknown", i, code, out)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ready := get(t, srv, "/readyz", 503); ready["ready"] != false || ready["reason"] == nil {
+		t.Fatalf("/readyz of a failed primary: %v, want not ready with a reason", ready)
+	}
+	if g := get(t, srv, "/result", 200)["generation"]; g != gen {
+		t.Fatalf("/result generation %v after the failure, want %v", g, gen)
+	}
+	if code, _ := post(`{"insert": [{"id": 1002, "values": [0.5]}]}`); code != 400 {
+		t.Fatalf("invalid tuple on a failed primary: status %d, want 400", code)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"fdrms/internal/wal"
 )
 
-// FaultFS is a deterministic fault-injection layer over a TailFS: tests and
+// FaultFS is a deterministic fault-injection layer over a wal.FS: tests and
 // the replication bench script the exact filesystem views a follower can
 // encounter — segments whose visibility lags the primary (delayed rename or
 // stalled fsync ordering), files truncated mid-record, and flipped bytes in
@@ -23,7 +23,7 @@ import (
 // passthrough view, which is how "fault heals, follower resumes" scenarios
 // are scripted.
 type FaultFS struct {
-	inner wal.TailFS
+	inner wal.FS
 
 	mu       sync.Mutex
 	hidden   map[string]bool  // base name -> absent from ReadDir/ReadFile
@@ -36,7 +36,7 @@ type FaultFS struct {
 
 // NewFaultFS wraps inner (nil means the real filesystem) with no faults
 // armed.
-func NewFaultFS(inner wal.TailFS) *FaultFS {
+func NewFaultFS(inner wal.FS) *FaultFS {
 	if inner == nil {
 		inner = wal.OSFS{}
 	}

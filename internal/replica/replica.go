@@ -84,7 +84,7 @@ type Options struct {
 	MaxBatchOps int
 	// FS is the filesystem the follower reads the primary's directory
 	// through; nil means the real one. Tests inject a *FaultFS.
-	FS wal.TailFS
+	FS wal.FS
 	// Now is the clock for staleness bookkeeping (nil means time.Now).
 	Now func() time.Time
 	// Metrics, when set, mirrors replication traffic into obs handles.
@@ -337,21 +337,6 @@ func (f *Follower) step() time.Duration {
 		return f.opt.PollInterval
 	}
 	switch e := err.(type) {
-	case *wal.PendingError:
-		// The primary is mid-write, slow, or not visible: normal life.
-		// Staleness keeps growing (progress is NOT touched), so a primary
-		// stalled past the bound degrades the follower without any special
-		// case.
-		f.loopV.retries++
-		f.publish()
-		if m != nil {
-			m.TailRetries.Inc()
-		}
-		f.backoff *= 2
-		if f.backoff > f.opt.MaxBackoff {
-			f.backoff = f.opt.MaxBackoff
-		}
-		return f.backoff
 	case *wal.CorruptError:
 		// Structural damage in a sealed segment: quarantine and alarm, keep
 		// serving the last consistent generation, keep probing — if the
@@ -366,19 +351,24 @@ func (f *Follower) step() time.Duration {
 	case *wal.GapError:
 		return f.resync(e)
 	default:
-		// An error outside the taxonomy (unexpected FS failure): treat like
-		// a pending condition — retry with backoff, degrade via staleness.
+		// *wal.PendingError: the primary is mid-write, slow, or not visible —
+		// normal life. An error outside the taxonomy (an unexpected FS
+		// failure) is treated the same. Staleness keeps growing (progress is
+		// NOT touched), so a primary stalled past the bound degrades the
+		// follower without any special case.
 		f.loopV.retries++
 		f.publish()
 		if m != nil {
 			m.TailRetries.Inc()
 		}
-		f.backoff *= 2
-		if f.backoff > f.opt.MaxBackoff {
-			f.backoff = f.opt.MaxBackoff
-		}
-		return f.backoff
+		return f.backoffStep()
 	}
+}
+
+// backoffStep doubles the poll backoff, up to MaxBackoff, and returns it.
+func (f *Follower) backoffStep() time.Duration {
+	f.backoff = min(2*f.backoff, f.opt.MaxBackoff)
+	return f.backoff
 }
 
 // bootstrap tries to load the newest checkpoint and start tailing after it.
@@ -387,24 +377,45 @@ func (f *Follower) bootstrap() time.Duration {
 	if err != nil || !ok {
 		// No directory, no checkpoint, or none readable yet: the primary may
 		// simply not have started. Stay in bootstrap with backoff.
-		f.backoff *= 2
-		if f.backoff > f.opt.MaxBackoff {
-			f.backoff = f.opt.MaxBackoff
-		}
-		return f.backoff
+		return f.backoffStep()
 	}
-	store, _, rerr := rms.NewReplicaStore(payload, f.opt.Shards)
-	if rerr != nil {
+	return f.restore(seq, payload)
+}
+
+// resync reacts to a gap: if a checkpoint at or past the gap exists, rebuild
+// the store from it; otherwise stay degraded on the last consistent state
+// until the primary checkpoints again.
+func (f *Follower) resync(gap *wal.GapError) time.Duration {
+	seq, payload, ok, err := wal.NewestCheckpointFS(f.opt.FS, f.dir)
+	if err != nil || !ok || seq+1 < gap.Need {
+		// No checkpoint covers the gap yet (retention raced us): serve the
+		// last consistent state, report why, and wait for the primary's next
+		// checkpoint to leapfrog.
+		f.loopV.reason = fmt.Sprintf("retention gap: %v", gap)
+		f.publish()
+		return f.opt.MaxBackoff
+	}
+	return f.restore(seq, payload)
+}
+
+// restore builds a replica store from the checkpoint at seq, swaps it in
+// atomically (readers migrate on their next Current call; generations they
+// already hold stay valid), and starts tailing after seq. Replacing a
+// serving store counts as a resync.
+func (f *Follower) restore(seq uint64, payload []byte) time.Duration {
+	store, _, err := rms.NewReplicaStore(payload, f.opt.Shards)
+	if err != nil {
 		// The payload validated its CRC but does not decode — version skew
 		// or deep corruption. Alarm and retry; an operator (or a newer
 		// checkpoint) resolves it.
-		f.loopV.reason = fmt.Sprintf("checkpoint %d unusable: %v", seq, rerr)
+		f.loopV.reason = fmt.Sprintf("checkpoint %d unusable: %v", seq, err)
 		f.publish()
 		return f.opt.MaxBackoff
 	}
 	if f.opt.Telemetry != nil {
 		store.SetTelemetry(f.opt.Telemetry)
 	}
+	old := f.store
 	f.store = store
 	f.tailer = wal.NewTailer(f.dir, seq, f.opt.FS)
 	f.loopV = view{
@@ -414,53 +425,19 @@ func (f *Follower) bootstrap() time.Duration {
 		resyncs:    f.loopV.resyncs,
 		retries:    f.loopV.retries,
 	}
+	if old != nil {
+		f.loopV.resyncs++
+	}
 	f.publish()
 	if m := f.opt.Metrics; m != nil {
 		m.Bootstraps.Inc()
+		if old != nil {
+			m.Resyncs.Inc()
+		}
+	}
+	if old != nil {
+		old.Close()
 	}
 	f.backoff = f.opt.PollInterval
 	return 0
-}
-
-// resync reacts to a gap: if a checkpoint at or past the gap exists, rebuild
-// the store from it and swap atomically (readers migrate on their next
-// Current call; generations they already hold stay valid); otherwise stay
-// degraded on the last consistent state until the primary checkpoints again.
-func (f *Follower) resync(gap *wal.GapError) time.Duration {
-	seq, payload, ok, err := wal.NewestCheckpointFS(f.opt.FS, f.dir)
-	if err == nil && ok && seq+1 >= gap.Need {
-		store, _, rerr := rms.NewReplicaStore(payload, f.opt.Shards)
-		if rerr == nil {
-			if f.opt.Telemetry != nil {
-				store.SetTelemetry(f.opt.Telemetry)
-			}
-			old := f.store
-			f.store = store
-			f.tailer = wal.NewTailer(f.dir, seq, f.opt.FS)
-			f.loopV = view{
-				store:      store,
-				appliedSeq: seq,
-				progress:   f.opt.Now(),
-				resyncs:    f.loopV.resyncs + 1,
-				retries:    f.loopV.retries,
-			}
-			f.publish()
-			if m := f.opt.Metrics; m != nil {
-				m.Resyncs.Inc()
-				m.Bootstraps.Inc()
-			}
-			old.Close()
-			f.backoff = f.opt.PollInterval
-			return 0
-		}
-		f.loopV.reason = fmt.Sprintf("resync checkpoint %d unusable: %v", seq, rerr)
-		f.publish()
-		return f.opt.MaxBackoff
-	}
-	// No checkpoint covers the gap yet (retention raced us): serve the last
-	// consistent state, report why, and wait for the primary's next
-	// checkpoint to leapfrog.
-	f.loopV.reason = fmt.Sprintf("retention gap: %v", gap)
-	f.publish()
-	return f.opt.MaxBackoff
 }

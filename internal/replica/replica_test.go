@@ -102,7 +102,7 @@ func fastFollower(fs *FaultFS) Options {
 		MaxBackoff:   5 * time.Millisecond,
 		MaxBatchOps:  64,
 	}
-	if fs != nil { // a typed-nil TailFS would defeat the withDefaults check
+	if fs != nil { // a typed-nil FS would defeat the withDefaults check
 		o.FS = fs
 	}
 	return o
@@ -400,54 +400,6 @@ func TestSlowFollowerResyncsAfterCheckpointAndPrune(t *testing.T) {
 	}, "post-resync following")
 	if st := f.Status(); st.Resyncs == 0 {
 		t.Fatal("pruned-out follower converged without a resync — gap handling untested")
-	}
-}
-
-func TestRetainFloorLetsSlowFollowerTailThrough(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := rms.OpenDurable(dir, testDim, nil, testOptions(), rms.DurableOptions{
-		SyncEveryBatch: true, SegmentBytes: 256, KeepCheckpoints: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	if _, err := ds.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for _, b := range testBatches(rng, 5) {
-		if err := ds.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ffs := NewFaultFS(nil)
-	f := Open(dir, fastFollower(ffs))
-	defer f.Close()
-	mustConverge(t, f, ds, ds.LastSeq())
-	caughtUp := f.Status().AppliedSeq
-
-	// Same stall as the resync test — but this time the primary honors the
-	// follower's position with a retention floor, so checkpoint-driven
-	// pruning cannot delete unshipped records.
-	ds.SetRetainFloor(caughtUp + 1)
-	if err := ffs.Freeze(dir); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range testBatches(rng, 40) {
-		if err := ds.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := ds.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	ffs.ClearStall()
-
-	mustConverge(t, f, ds, ds.LastSeq())
-	if st := f.Status(); st.Resyncs != 0 {
-		t.Fatalf("floor-protected follower took %d resyncs, want pure tailing", st.Resyncs)
 	}
 }
 

@@ -25,8 +25,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 const (
@@ -42,19 +40,7 @@ func ckptName(seq uint64) string { return fmt.Sprintf("%s%016x%s", ckptPrefix, s
 
 // checkpointFiles lists checkpoint file names in dir, oldest first.
 func checkpointFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if !e.IsDir() && strings.HasPrefix(n, ckptPrefix) && strings.HasSuffix(n, ckptSuffix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
+	return list(OSFS{}, dir, ckptPrefix, ckptSuffix)
 }
 
 // WriteCheckpoint atomically writes a checkpoint file for seq in dir.
@@ -96,19 +82,8 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	return syncDir(dir)
 }
 
-// readCheckpoint validates one checkpoint file and returns its seq and
-// payload.
-func readCheckpoint(path string) (seq uint64, payload []byte, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, err
-	}
-	return parseCheckpoint(filepath.Base(path), data)
-}
-
 // parseCheckpoint validates the raw bytes of a checkpoint file (base names
-// the file in errors) and returns its seq and payload. Shared between the
-// direct reader above and the TailFS-routed reader in tail.go.
+// the file in errors) and returns its seq and payload.
 func parseCheckpoint(base string, data []byte) (seq uint64, payload []byte, err error) {
 	if len(data) < ckptHdrLen || string(data[:len(ckptMagic)]) != ckptMagic {
 		return 0, nil, fmt.Errorf("wal: %s: bad checkpoint magic", base)
@@ -134,7 +109,17 @@ func parseCheckpoint(base string, data []byte) (seq uint64, payload []byte, err 
 // skipping corrupt or torn files. ok is false when none exists. A fresh
 // (nonexistent) directory is not an error.
 func NewestCheckpoint(dir string) (seq uint64, payload []byte, ok bool, err error) {
-	names, err := checkpointFiles(dir)
+	return NewestCheckpointFS(OSFS{}, dir)
+}
+
+// NewestCheckpointFS is NewestCheckpoint reading through fs (nil means the
+// real filesystem), so a follower's bootstrap observes the same (possibly
+// fault-injected) view of the primary's directory as its tailer.
+func NewestCheckpointFS(fs FS, dir string) (seq uint64, payload []byte, ok bool, err error) {
+	if fs == nil {
+		fs = OSFS{}
+	}
+	names, err := list(fs, dir, ckptPrefix, ckptSuffix)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil, false, nil
@@ -142,8 +127,12 @@ func NewestCheckpoint(dir string) (seq uint64, payload []byte, ok bool, err erro
 		return 0, nil, false, err
 	}
 	for i := len(names) - 1; i >= 0; i-- {
-		seq, payload, err := readCheckpoint(filepath.Join(dir, names[i]))
-		if err != nil {
+		data, rerr := fs.ReadFile(filepath.Join(dir, names[i]))
+		if rerr != nil {
+			continue
+		}
+		seq, payload, perr := parseCheckpoint(names[i], data)
+		if perr != nil {
 			continue // fall back to the previous checkpoint
 		}
 		return seq, payload, true, nil
@@ -161,8 +150,8 @@ func OldestCheckpointSeq(dir string) (uint64, bool, error) {
 	if err != nil || len(names) == 0 {
 		return 0, false, err
 	}
-	var seq uint64
-	if _, err := fmt.Sscanf(names[0], ckptPrefix+"%016x"+ckptSuffix, &seq); err != nil {
+	seq, ok := nameSeq(names[0], ckptPrefix, ckptSuffix)
+	if !ok {
 		return 0, false, fmt.Errorf("wal: unparseable checkpoint name %q", names[0])
 	}
 	return seq, true, nil

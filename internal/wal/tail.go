@@ -16,57 +16,23 @@
 //   - A seq discontinuity under a valid CRC is corruption wherever it occurs
 //     (a torn write cannot fabricate a checksum around the wrong seq).
 //   - A segment whose records the tailer still needs disappearing from the
-//     directory (pruned by the primary, see Log.SetRetainFloor) — or a
-//     consumed byte range shrinking or being rewritten — is a Gap: the
-//     follower cannot continue from its position and must re-bootstrap from
-//     a newer checkpoint.
+//     directory (pruned by the primary after a checkpoint) — or a consumed
+//     byte range shrinking or being rewritten — is a Gap: the follower
+//     cannot continue from its position and must re-bootstrap from a newer
+//     checkpoint.
 //
-// All reads go through a TailFS so a fault-injection layer (internal/replica)
-// can truncate mid-record, delay visibility, or flip bytes deterministically.
+// Records are parsed by readRecord, the same parser Open and Replay use. All
+// reads go through an FS so a fault-injection layer (internal/replica) can
+// truncate mid-record, delay visibility, or flip bytes deterministically.
 package wal
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"fdrms/internal/topk"
 )
-
-// TailFS is the filesystem surface a Tailer (and follower bootstrap) reads
-// through. The production implementation is OSFS; tests and the bench inject
-// fault layers. Implementations must be safe for concurrent use.
-type TailFS interface {
-	// ReadDir lists the file names in dir (directories excluded).
-	ReadDir(dir string) ([]string, error)
-	// ReadFile returns the current contents of path.
-	ReadFile(path string) ([]byte, error)
-}
-
-// OSFS is the passthrough TailFS over the real filesystem.
-type OSFS struct{}
-
-// ReadDir lists the plain files in dir.
-func (OSFS) ReadDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}
-
-// ReadFile reads path in full.
-func (OSFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
 
 // PendingError reports a condition that the primary's normal forward progress
 // resolves: a torn tail on the active segment, a half-visible header, or a
@@ -107,7 +73,7 @@ func (e *GapError) Error() string {
 // Not safe for concurrent use; the follower's replay loop owns it.
 type Tailer struct {
 	dir string
-	fs  TailFS
+	fs  FS
 
 	lastSeq uint64 // last record seq consumed (records <= lastSeq are skipped)
 	seg     string // segment the cursor sits in; "" = reattach by seq
@@ -122,7 +88,7 @@ type Tailer struct {
 
 // NewTailer positions a tailer to deliver every record with seq > after from
 // the log in dir, reading through fs (nil means the real filesystem).
-func NewTailer(dir string, after uint64, fs TailFS) *Tailer {
+func NewTailer(dir string, after uint64, fs FS) *Tailer {
 	if fs == nil {
 		fs = OSFS{}
 	}
@@ -132,32 +98,6 @@ func NewTailer(dir string, after uint64, fs TailFS) *Tailer {
 // LastSeq returns the seq of the last record delivered by Poll (or the
 // starting position when none has been yet).
 func (t *Tailer) LastSeq() uint64 { return t.lastSeq }
-
-// nameSeq parses the first-record seq a segment file name encodes.
-func nameSeq(name string) (uint64, bool) {
-	var seq uint64
-	if _, err := fmt.Sscanf(name, segPrefix+"%016x"+segSuffix, &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// listSegments returns the segment file names visible through the tailer's
-// FS, in seq order.
-func (t *Tailer) listSegments() ([]string, error) {
-	ents, err := t.fs.ReadDir(t.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, n := range ents {
-		if strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
 
 // Poll reads forward from the cursor, appending decoded operations of each
 // consecutive record to a fresh slice, until it reaches the end of the log,
@@ -174,7 +114,7 @@ func (t *Tailer) Poll(maxOps int) (ops []topk.Op, records int, err error) {
 	if maxOps < 1 {
 		maxOps = 1
 	}
-	names, err := t.listSegments()
+	names, err := list(t.fs, t.dir, segPrefix, segSuffix)
 	if err != nil {
 		// The directory not existing (or being hidden by a fault layer) is
 		// indistinguishable from a primary that has not started yet.
@@ -216,13 +156,10 @@ func (t *Tailer) Poll(maxOps int) (ops []topk.Op, records int, err error) {
 			return t.deliver(ops, records, &PendingError{Reason: fmt.Sprintf("segment %s unreadable: %v", name, rerr)})
 		}
 		size := int64(len(data))
-		if size < int64(len(segMagic)) || string(data[:len(segMagic)]) != segMagic {
-			if active {
-				// The primary created the file but its header write is not
-				// fully visible yet.
-				return t.deliver(ops, records, &PendingError{Reason: fmt.Sprintf("segment %s header not fully written", name)})
-			}
-			return t.deliver(ops, records, &CorruptError{Segment: name, Offset: 0, Reason: "missing or short segment header in sealed segment"})
+		if !bytes.HasPrefix(data, []byte(segMagic)) {
+			// On the active segment: the primary created the file but its
+			// header write is not fully visible yet.
+			return t.deliver(ops, records, t.tailDamage(active, name, 0, errSegmentHeader.Error()))
 		}
 		if t.off == 0 {
 			t.seg, t.off = name, int64(len(segMagic))
@@ -230,8 +167,10 @@ func (t *Tailer) Poll(maxOps int) (ops []topk.Op, records int, err error) {
 		if t.off > size {
 			return t.deliver(ops, records, &GapError{Need: t.lastSeq + 1, Reason: fmt.Sprintf("segment %s shrank below the consumed offset %d", name, t.off)})
 		}
-		if t.fpOff > 0 && t.fpOff+recHdrBytes <= size {
-			if crc := binary.LittleEndian.Uint32(data[t.fpOff+4:]); crc != t.fpCRC {
+		if t.fpOff > 0 {
+			// The whole record is there (t.off, its end, is within size), so
+			// its header CRC is set whatever damage the rest holds.
+			if r, _ := readRecord(data, t.fpOff); r.crc != t.fpCRC {
 				// The record we already consumed now holds different bytes:
 				// the primary recovered from a crash and rewrote an unsynced
 				// suffix we had read ahead of durability.
@@ -239,38 +178,23 @@ func (t *Tailer) Poll(maxOps int) (ops []topk.Op, records int, err error) {
 			}
 		}
 		for t.off < size {
-			recOff := t.off
-			if size-recOff < recHdrBytes {
-				return t.deliver(ops, records, t.tailDamage(active, name, recOff, "short record header"))
-			}
-			plen := int64(binary.LittleEndian.Uint32(data[recOff:]))
-			crc := binary.LittleEndian.Uint32(data[recOff+4:])
-			if plen == 0 || plen > maxRecordBytes || recOff+recHdrBytes+plen > size {
-				return t.deliver(ops, records, t.tailDamage(active, name, recOff, "record length out of bounds"))
-			}
-			payload := data[recOff+recHdrBytes : recOff+recHdrBytes+plen]
-			if crc32.Checksum(payload, crcTable) != crc {
-				return t.deliver(ops, records, t.tailDamage(active, name, recOff, "payload CRC mismatch"))
-			}
-			seq, batch, derr := DecodeOps(payload)
-			if derr != nil {
-				// Valid CRC around an undecodable payload: match Open's
-				// lenient stance on the newest segment (the primary may be
-				// mid-write of a larger buffered flush), fatal when sealed.
-				return t.deliver(ops, records, t.tailDamage(active, name, recOff, derr.Error()))
+			r, err := readRecord(data, t.off)
+			if err != nil {
+				// The newest segment may be mid-flush; a sealed one never heals.
+				return t.deliver(ops, records, t.tailDamage(active, name, t.off, err.Error()))
 			}
 			switch {
-			case seq <= t.lastSeq:
+			case r.seq <= t.lastSeq:
 				// Already applied (a reattach landed mid-segment): skip.
-			case seq == t.lastSeq+1:
-				ops = append(ops, batch...)
+			case r.seq == t.lastSeq+1:
+				ops = append(ops, r.ops...)
 				records++
-				t.lastSeq = seq
+				t.lastSeq = r.seq
 			default:
-				return t.deliver(ops, records, &CorruptError{Segment: name, Offset: recOff, Reason: fmt.Sprintf("sequence gap: record %d follows %d", seq, t.lastSeq)})
+				return t.deliver(ops, records, &CorruptError{Segment: name, Offset: t.off, Reason: fmt.Sprintf("sequence gap: record %d follows %d", r.seq, t.lastSeq)})
 			}
-			t.off = recOff + recHdrBytes + plen
-			t.fpOff, t.fpCRC = recOff, crc
+			t.fpOff, t.fpCRC = t.off, r.crc
+			t.off = r.end
 			if len(ops) >= maxOps {
 				return ops, records, nil
 			}
@@ -282,7 +206,7 @@ func (t *Tailer) Poll(maxOps int) (ops []topk.Op, records int, err error) {
 		// checked by name (its name encodes its first seq) so a pruned-away
 		// middle segment surfaces as a gap, not a silent skip.
 		next := names[idx+1]
-		nseq, okName := nameSeq(next)
+		nseq, okName := nameSeq(next, segPrefix, segSuffix)
 		if !okName {
 			return t.deliver(ops, records, &CorruptError{Segment: next, Offset: 0, Reason: "unparseable segment name"})
 		}
@@ -302,7 +226,7 @@ func (t *Tailer) attach(names []string) (int, error) {
 	target := t.lastSeq + 1
 	idx := -1
 	for i, n := range names {
-		seq, ok := nameSeq(n)
+		seq, ok := nameSeq(n, segPrefix, segSuffix)
 		if !ok {
 			continue
 		}
@@ -334,40 +258,4 @@ func (t *Tailer) deliver(ops []topk.Op, records int, err error) ([]topk.Op, int,
 		return ops, records, nil
 	}
 	return nil, 0, err
-}
-
-// NewestCheckpointFS is NewestCheckpoint reading through a TailFS, so the
-// follower's bootstrap observes the same (possibly fault-injected) view of
-// the primary's directory as its tailer. Corrupt or torn checkpoint files
-// are skipped in favor of older ones, exactly like the recovery path.
-func NewestCheckpointFS(fs TailFS, dir string) (seq uint64, payload []byte, ok bool, err error) {
-	if fs == nil {
-		fs = OSFS{}
-	}
-	ents, err := fs.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil, false, nil
-		}
-		return 0, nil, false, err
-	}
-	var names []string
-	for _, n := range ents {
-		if strings.HasPrefix(n, ckptPrefix) && strings.HasSuffix(n, ckptSuffix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for i := len(names) - 1; i >= 0; i-- {
-		data, rerr := fs.ReadFile(filepath.Join(dir, names[i]))
-		if rerr != nil {
-			continue
-		}
-		seq, payload, perr := parseCheckpoint(names[i], data)
-		if perr != nil {
-			continue // fall back to the previous checkpoint
-		}
-		return seq, payload, true, nil
-	}
-	return 0, nil, false, nil
 }

@@ -311,51 +311,6 @@ func TestTailerMissingDirectoryIsPending(t *testing.T) {
 	}
 }
 
-func TestPruneRespectsRetainFloor(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 64, SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 1; i <= 12; i++ {
-		if _, err := l.Append(testBatchF(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, _ := segments(dir)
-	if len(before) < 3 {
-		t.Fatalf("need >= 3 segments, got %d", len(before))
-	}
-	// Floor at 1: nothing may go.
-	l.SetRetainFloor(1)
-	if err := l.Prune(l.LastSeq()); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := segments(dir); len(after) != len(before) {
-		t.Fatalf("floor 1 pruned %d segments", len(before)-len(after))
-	}
-	// Floor in the middle: records >= floor stay replayable.
-	const floor = 6
-	l.SetRetainFloor(floor)
-	if err := l.Prune(l.LastSeq()); err != nil {
-		t.Fatal(err)
-	}
-	tl := NewTailer(dir, floor-1, nil)
-	total, terr := drain(t, tl)
-	if terr != nil || total != 12-(floor-1) {
-		t.Fatalf("post-prune tail from floor: %d records err=%v, want %d", total, terr, 12-(floor-1))
-	}
-	// Clearing the floor releases everything up to the covered seq.
-	l.SetRetainFloor(0)
-	if err := l.Prune(l.LastSeq()); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := segments(dir); len(after) != 1 {
-		t.Fatalf("cleared floor left %d segments, want only the active one", len(after))
-	}
-}
-
 func TestPruneKeepsLastNSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 64, SyncEveryAppend: true, RetainSegments: 3})
@@ -381,10 +336,10 @@ func TestPruneKeepsLastNSegments(t *testing.T) {
 	}
 }
 
-// hideFS hides one file name from a TailFS — the minimal fault layer for
+// hideFS hides one file name from an FS — the minimal fault layer for
 // checkpoint fallback (the full FaultFS lives in internal/replica).
 type hideFS struct {
-	inner TailFS
+	inner FS
 	name  string
 }
 

@@ -22,6 +22,9 @@
 // last valid record, which is exactly the durable prefix. The same damage
 // in an older segment cannot be a torn write (older segments are only ever
 // closed after a clean final record) and aborts recovery with an error.
+// Open, Replay and the tailer (tail.go) parse records with one function,
+// readRecord, and differ only in what damage means: a torn tail to Open, an
+// error to Replay, a pending write or corruption to the tailer.
 //
 // Checkpoint snapshot files (checkpoint.go) live in the same directory;
 // Prune removes the segments a checkpoint has made redundant.
@@ -29,7 +32,9 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -37,6 +42,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"fdrms/internal/topk"
@@ -76,8 +82,7 @@ type Options struct {
 
 	// RetainSegments, when positive, keeps at least this many of the newest
 	// segment files through Prune regardless of checkpoint coverage — a
-	// static cushion for followers tailing the directory (see SetRetainFloor
-	// for the precise, feedback-driven variant). Zero keeps only what
+	// cushion for followers tailing the directory. Zero keeps only what
 	// checkpoints require.
 	RetainSegments int
 }
@@ -104,10 +109,10 @@ type Log struct {
 
 	enc []byte // payload scratch, reused across appends
 
-	// floor, when nonzero, is the oldest seq a replica still needs: Prune
-	// keeps every segment that holds (or could hold) records >= floor even
-	// when a checkpoint already covers them. Written only via SetRetainFloor.
-	floor uint64
+	// failed is the first write, flush, fsync, rotate or directory-sync
+	// error. Once set, Append and Sync return it: the failed record may or
+	// may not be on disk, so nothing may be written after it.
+	failed error
 
 	// met, when set, mirrors append/sync/rotation traffic into obs handles
 	// (see metrics.go). Written only via SetMetrics.
@@ -117,23 +122,66 @@ type Log struct {
 // segName returns the file name of a segment whose first record is seq.
 func segName(seq uint64) string { return fmt.Sprintf("%s%016x%s", segPrefix, seq, segSuffix) }
 
-// segments lists the segment file names in dir, in seq order (the fixed-width
-// hex name makes lexicographic order the seq order).
-func segments(dir string) ([]string, error) {
+// nameSeq parses the seq a segment or checkpoint file name encodes.
+func nameSeq(name, prefix, suffix string) (uint64, bool) {
+	var seq uint64
+	if _, err := fmt.Sscanf(name, prefix+"%016x"+suffix, &seq); err != nil {
+		return 0, false
+	}
+	return seq, true
+}
+
+// FS is the read side of the filesystem: every directory listing of this
+// package, and every file the tailer and the checkpoint finder read, goes
+// through it. The production implementation is OSFS; tests and the bench
+// inject fault layers. Implementations must be safe for concurrent use.
+type FS interface {
+	// ReadDir lists the file names in dir (directories excluded).
+	ReadDir(dir string) ([]string, error)
+	// ReadFile returns the current contents of path.
+	ReadFile(path string) ([]byte, error)
+}
+
+// OSFS is the passthrough FS over the real filesystem.
+type OSFS struct{}
+
+// ReadDir lists the plain files in dir.
+func (OSFS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
+	names := make([]string, 0, len(ents))
 	for _, e := range ents {
-		n := e.Name()
-		if !e.IsDir() && strings.HasPrefix(n, segPrefix) && strings.HasSuffix(n, segSuffix) {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
+
+// ReadFile reads path in full.
+func (OSFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+// list returns the names in dir with the given prefix and suffix, sorted:
+// the fixed-width hex seq in every name makes that seq order.
+func list(fs FS, dir, prefix, suffix string) ([]string, error) {
+	ents, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, n := range ents {
+		if strings.HasPrefix(n, prefix) && strings.HasSuffix(n, suffix) {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 	return names, nil
 }
+
+// segments lists the segment file names in dir, in seq order.
+func segments(dir string) ([]string, error) { return list(OSFS{}, dir, segPrefix, segSuffix) }
 
 // Open scans (and, for the newest segment, repairs) the log in dir, creating
 // the directory if needed, and returns a log positioned to append after the
@@ -151,15 +199,20 @@ func Open(dir string, opt Options) (*Log, error) {
 	for i, name := range names {
 		path := filepath.Join(dir, name)
 		last := i == len(names)-1
-		_, lastSeq, valid, n, err := scanSegment(path, expect)
-		if err != nil && !(last && isTorn(err)) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		lastSeq, valid, damage, err := scanSegment(data, expect)
+		if err == nil && damage != nil && !last {
 			// Tail damage is only repairable on the newest segment; anywhere
-			// else — and for seq gaps everywhere — it is corruption.
+			// else it is corruption.
+			err = fmt.Errorf("offset %d: %w", valid, damage)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("wal: segment %s: %w", name, err)
 		}
-		if n > 0 {
-			expect = lastSeq
-		}
+		expect = lastSeq
 		if last {
 			if valid < int64(len(segMagic)) {
 				// The crash tore even the header write: the segment holds
@@ -208,82 +261,64 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// scanSegment walks one segment, verifying the header, every record's length
-// prefix and CRC, and seq continuity (prevSeq is the last seq of the previous
-// segment; 0 means this is the first). It returns the first and last record
-// seqs, the byte offset just past the last valid record, and the record
-// count. A corrupt or short tail is NOT an error — the caller decides whether
-// truncating at valid is legitimate (newest segment) or fatal (older
-// segment); for older segments any valid < file size is fatal, which the
-// caller detects by err == errTornTail.
-func scanSegment(path string, prevSeq uint64) (first, last uint64, valid int64, n int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, 0, 0, err
+// errSegmentHeader is the damage of a segment whose magic header is missing
+// or short; a crash can tear even the header write of a fresh segment.
+var errSegmentHeader = errors.New("missing or short segment header")
+
+// record is one framed record, as readRecord parses it.
+type record struct {
+	seq uint64
+	ops []topk.Op
+	crc uint32 // the header's CRC field, set whenever the header is whole
+	end int64  // offset just past the record
+}
+
+// readRecord parses the record that starts at off in a segment's bytes. It
+// is the only reader of the record frame: the length prefix must be in
+// bounds, and the payload must match its CRC-32C and decode. The error names
+// the damage; what the damage means (a torn tail, a write still in flight,
+// corruption) is each caller's own rule.
+func readRecord(data []byte, off int64) (r record, err error) {
+	if int64(len(data))-off < recHdrBytes {
+		return r, errors.New("short record header")
 	}
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
-		// A crash can tear even the header write of a fresh segment; an older
-		// segment with a bad header is real corruption. Callers treat a
-		// zero-valid result on a non-newest segment as fatal via tornError.
-		return 0, 0, 0, 0, tornError(path, len(data), 0, "missing or short segment header")
+	plen := int64(binary.LittleEndian.Uint32(data[off:]))
+	r.crc = binary.LittleEndian.Uint32(data[off+4:])
+	r.end = off + recHdrBytes + plen
+	if plen == 0 || plen > maxRecordBytes || r.end > int64(len(data)) {
+		return r, errors.New("record length out of bounds")
 	}
-	off := int64(len(segMagic))
-	size := int64(len(data))
-	expect := prevSeq
-	for off < size {
-		if size-off < recHdrBytes {
-			return first, expect, off, n, tornError(path, int(size), off, "short record header")
-		}
-		plen := int64(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if plen == 0 || plen > maxRecordBytes || off+recHdrBytes+plen > size {
-			return first, expect, off, n, tornError(path, int(size), off, "record length out of bounds")
-		}
-		payload := data[off+recHdrBytes : off+recHdrBytes+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return first, expect, off, n, tornError(path, int(size), off, "payload CRC mismatch")
-		}
-		seq, _, derr := DecodeOps(payload)
+	payload := data[off+recHdrBytes : r.end]
+	if crc32.Checksum(payload, crcTable) != r.crc {
+		return r, errors.New("payload CRC mismatch")
+	}
+	r.seq, r.ops, err = DecodeOps(payload)
+	return r, err
+}
+
+// scanSegment walks one segment's bytes through readRecord and checks seq
+// continuity from prevSeq, the last seq before the segment (0: none). It
+// returns the last seq, the offset just past the last valid record, and the
+// damage that ended the walk early (nil when the segment ended cleanly);
+// whether that damage is a torn tail is Open's rule. A seq gap is err: a torn
+// write cannot fabricate a valid CRC around the wrong seq, so a gap is always
+// corruption.
+func scanSegment(data []byte, prevSeq uint64) (last uint64, valid int64, damage, err error) {
+	if !bytes.HasPrefix(data, []byte(segMagic)) {
+		return prevSeq, 0, errSegmentHeader, nil
+	}
+	last, valid = prevSeq, int64(len(segMagic))
+	for valid < int64(len(data)) {
+		r, derr := readRecord(data, valid)
 		if derr != nil {
-			return first, expect, off, n, tornError(path, int(size), off, derr.Error())
+			return last, valid, derr, nil
 		}
-		if expect != 0 && seq != expect+1 {
-			// A torn write cannot fabricate a valid CRC around the wrong seq;
-			// a gap means records were lost or reordered. Always fatal.
-			return first, expect, off, n, fmt.Errorf("sequence gap: record %d follows %d", seq, expect)
+		if last != 0 && r.seq != last+1 {
+			return last, valid, nil, fmt.Errorf("sequence gap: record %d follows %d", r.seq, last)
 		}
-		if n == 0 {
-			first = seq
-		}
-		expect = seq
-		n++
-		off += recHdrBytes + plen
+		last, valid = r.seq, r.end
 	}
-	return first, expect, off, n, nil
-}
-
-// tornTailError marks damage that is legitimate at the end of the newest
-// segment (and fatal anywhere else).
-type tornTailError struct {
-	path   string
-	size   int
-	offset int64
-	reason string
-}
-
-func (e *tornTailError) Error() string {
-	return fmt.Sprintf("torn record at offset %d of %d (%s)", e.offset, e.size, e.reason)
-}
-
-func tornError(path string, size int, off int64, reason string) error {
-	return &tornTailError{path: path, size: size, offset: off, reason: reason}
-}
-
-// isTorn reports whether err marks tail damage (repairable on the newest
-// segment) rather than structural corruption.
-func isTorn(err error) bool {
-	_, ok := err.(*tornTailError)
-	return ok
+	return last, valid, nil, nil
 }
 
 // LastSeq returns the seq of the last appended (or recovered) batch; 0 when
@@ -303,13 +338,28 @@ func (l *Log) EnsureNextSeq(min uint64) {
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
 
+// Err returns the error that failed the log (see Append), or nil.
+func (l *Log) Err() error { return l.failed }
+
+// fail records err as the log's failure unless an earlier one is recorded.
+func (l *Log) fail(err error) error {
+	if l.failed == nil {
+		l.failed = err
+	}
+	return err
+}
+
 // Append encodes one update batch as a record, writes it to the active
 // segment (rotating first when the segment is full), applies the sync
-// policy, and returns the batch's seq.
+// policy, and returns the batch's seq. A write, flush, fsync or rotation
+// error fails the log: every later Append and Sync returns that error.
 func (l *Log) Append(ops []topk.Op) (uint64, error) {
+	if l.failed != nil {
+		return 0, l.failed
+	}
 	if l.f == nil || l.size >= l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	seq := l.next
@@ -326,10 +376,10 @@ func (l *Log) Append(ops []topk.Op) (uint64, error) {
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(l.enc)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(l.enc, crcTable))
 	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	if _, err := l.w.Write(l.enc); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	l.size += int64(recHdrBytes + len(l.enc))
 	l.next = seq + 1
@@ -349,13 +399,13 @@ func (l *Log) Append(ops []topk.Op) (uint64, error) {
 }
 
 // Sync flushes buffered records and fsyncs the active segment, making every
-// appended batch durable.
+// appended batch durable. On a failed log it returns the failure.
 func (l *Log) Sync() error {
-	if l.f == nil {
-		return nil
+	if l.failed != nil || l.f == nil {
+		return l.failed
 	}
 	if err := l.w.Flush(); err != nil {
-		return err
+		return l.fail(err)
 	}
 	if l.dirty {
 		var start time.Time
@@ -363,7 +413,7 @@ func (l *Log) Sync() error {
 			start = time.Now()
 		}
 		if err := l.f.Sync(); err != nil {
-			return err
+			return l.fail(err)
 		}
 		if m := l.met; m != nil {
 			m.Fsyncs.Inc()
@@ -415,23 +465,24 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// Close syncs and closes the active segment. The log must not be used
-// afterwards.
+// Close syncs and closes the active segment; a failed log's segment is
+// closed too, and the failure returned. The log must not be used afterwards.
 func (l *Log) Close() error {
 	if l.f == nil {
-		return nil
+		return l.failed
 	}
-	if err := l.Sync(); err != nil {
-		return err
+	err := l.Sync()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
 	}
-	err := l.f.Close()
 	l.f = nil
 	return err
 }
 
 // Replay invokes fn for every durable batch with seq > after, in order.
 // It reads the segment files from disk (flushing the active writer first),
-// so it observes exactly what recovery after a crash would.
+// so it observes exactly what recovery after a crash would, and checks every
+// record again: damage anywhere is an error.
 func (l *Log) Replay(after uint64, fn func(seq uint64, ops []topk.Op) error) error {
 	if l.f != nil {
 		if err := l.w.Flush(); err != nil {
@@ -447,23 +498,21 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, ops []topk.Op) error) err
 		if err != nil {
 			return err
 		}
-		off := int64(len(segMagic))
-		size := int64(len(data))
-		for off+recHdrBytes <= size {
-			plen := int64(binary.LittleEndian.Uint32(data[off:]))
-			if plen == 0 || plen > maxRecordBytes || off+recHdrBytes+plen > size {
-				break // torn tail already handled by Open; stop cleanly
-			}
-			seq, ops, err := DecodeOps(data[off+recHdrBytes : off+recHdrBytes+plen])
+		if !bytes.HasPrefix(data, []byte(segMagic)) {
+			return fmt.Errorf("wal: segment %s: %w", name, errSegmentHeader)
+		}
+		for off := int64(len(segMagic)); off < int64(len(data)); {
+			r, err := readRecord(data, off)
 			if err != nil {
-				return fmt.Errorf("wal: segment %s: %w", name, err)
+				// Open already cut the torn tail, so any damage now is real.
+				return fmt.Errorf("wal: segment %s offset %d: %w", name, off, err)
 			}
-			if seq > after {
-				if err := fn(seq, ops); err != nil {
+			if r.seq > after {
+				if err := fn(r.seq, r.ops); err != nil {
 					return err
 				}
 			}
-			off += recHdrBytes + plen
+			off = r.end
 		}
 	}
 	return nil
@@ -508,76 +557,45 @@ func (l *Log) ReplayBatched(after uint64, maxOps int, apply func(ops []topk.Op) 
 	return flush()
 }
 
-// firstSeqOf reads the seq of a segment's first record; ok is false for an
-// empty (header-only) segment.
-func firstSeqOf(path string) (seq uint64, ok bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	var buf [len(segMagic) + recHdrBytes + 8]byte
-	if _, err := io.ReadFull(f, buf[:]); err != nil {
-		return 0, false, nil // header-only or torn: no first record
-	}
-	return binary.LittleEndian.Uint64(buf[len(segMagic)+recHdrBytes:]), true, nil
-}
-
-// SetRetainFloor pins the prune horizon: every record with seq >= seq stays
-// replayable until the floor is raised again. The durable store forwards a
-// follower's applied seq here so checkpoint-driven pruning can never delete
-// a segment a known replica has not consumed yet. Zero clears the floor.
-// Not safe concurrently with Append/Prune; callers hold the writer lock.
-func (l *Log) SetRetainFloor(seq uint64) { l.floor = seq }
-
 // Prune removes segments made redundant by a checkpoint covering every batch
-// with seq <= upTo: a segment can go once the NEXT segment starts at or
-// before upTo+1 (so the next segment already holds the first record a
-// recovery could need). The active segment is never removed, the retention
-// floor (SetRetainFloor) caps how far pruning may reach, and
-// Options.RetainSegments newest segments are always kept.
+// with seq <= upTo: a segment can go once the NEXT segment's name is at most
+// upTo+1. rotate names a segment after the next seq, which only grows, so
+// every record of a segment is below its successor's name. The active
+// segment is never removed, and Options.RetainSegments newest segments are
+// always kept.
 func (l *Log) Prune(upTo uint64) error {
-	if l.floor > 0 {
-		if l.floor == 1 {
-			return nil // everything from the first record is still needed
-		}
-		if upTo > l.floor-1 {
-			upTo = l.floor - 1
-		}
-	}
 	names, err := segments(l.dir)
 	if err != nil {
 		return err
 	}
-	left := len(names)
-	for i := 0; i+1 < len(names); i++ {
-		if l.opt.RetainSegments > 0 && left <= l.opt.RetainSegments {
-			break
-		}
-		next, ok, err := firstSeqOf(filepath.Join(l.dir, names[i+1]))
-		if err != nil {
-			return err
-		}
-		if !ok || next > upTo+1 {
+	for i := 0; i+1 < len(names) && len(names)-i > l.opt.RetainSegments; i++ {
+		if next, ok := nameSeq(names[i+1], segPrefix, segSuffix); !ok || next > upTo+1 {
 			break
 		}
 		if err := os.Remove(filepath.Join(l.dir, names[i])); err != nil {
 			return err
 		}
-		left--
 	}
 	return syncDir(l.dir)
 }
 
-// syncDir fsyncs a directory so renames and removals inside it are durable.
-// Some platforms reject fsync on directories, so the sync itself is
-// best-effort; only failing to open the directory is reported.
+// syncDir fsyncs a directory so creates, renames and removals inside it are
+// durable. An error that only says the platform cannot fsync a directory is
+// not reported.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	_ = d.Sync()
+	if err := d.Sync(); err != nil && !syncUnsupported(err) {
+		return err
+	}
 	return nil
+}
+
+// syncUnsupported reports whether a directory fsync failed only because the
+// platform or filesystem does not support it.
+func syncUnsupported(err error) bool {
+	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) || errors.Is(err, errors.ErrUnsupported)
 }

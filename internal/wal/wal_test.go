@@ -2,10 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"fdrms/internal/geom"
@@ -356,5 +358,121 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 	appendN(t, l, 3, 5)
 	if got := replayAll(t, l, 0); len(got) != 4 {
 		t.Fatalf("replayed %d batches, want 4", len(got))
+	}
+}
+
+func TestLogFailStopAfterSyncError(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 4)
+	if err := l.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Close the segment under the log, so its next fsync fails as a failing
+	// disk's would.
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	syncErr := l.Sync()
+	if syncErr == nil {
+		t.Fatal("Sync of a closed segment succeeded")
+	}
+	// Whether the unsynced records survive is unknown, so nothing may be
+	// written after them.
+	if seq, err := l.Append(testBatch(4)); !errors.Is(err, syncErr) {
+		t.Fatalf("Append after a failed sync: seq %d err %v, want %v", seq, err, syncErr)
+	}
+	if err := l.Sync(); !errors.Is(err, syncErr) {
+		t.Fatalf("Sync after a failed sync: %v, want %v", err, syncErr)
+	}
+	if err := l.Close(); !errors.Is(err, syncErr) {
+		t.Fatalf("Close of a failed log: %v, want %v", err, syncErr)
+	}
+	// Recovery reads the disk and decides: the flushed records are there.
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.LastSeq() != 3 {
+		t.Fatalf("LastSeq after reopen = %d, want 3", l.LastSeq())
+	}
+}
+
+func TestReplayChecksCRCOfSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 96, SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 6)
+	segs, _ := segments(dir)
+	if len(segs) < 2 {
+		t.Fatalf("need a sealed segment, got %v", segs)
+	}
+	path := filepath.Join(dir, segs[0])
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first coordinate of the first record: header, seq, op count, kind,
+	// id and dim come before it.
+	data[len(segMagic)+recHdrBytes+8+4+1+8+4] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Replay(0, func(uint64, []topk.Op) error { return nil }); err == nil {
+		t.Fatal("Replay accepted a record whose CRC no longer matches")
+	}
+}
+
+func TestPruneTrustsSuccessorName(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendN(t, l, 1, 4)
+	// A header-only successor: named after seq 4, holding no record yet.
+	if err := l.rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Prune(2); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := segments(dir); len(segs) != 2 {
+		t.Fatalf("Prune(2) left %v, want both segments (seq 3 is not covered)", segs)
+	}
+	if err := l.Prune(3); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := segments(dir); len(segs) != 1 || segs[0] != segName(4) {
+		t.Fatalf("Prune(3) left %v, want only %s", segs, segName(4))
+	}
+}
+
+func TestSyncDirReportsAllButUnsupported(t *testing.T) {
+	cases := []struct {
+		err         error
+		unsupported bool
+	}{
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EINVAL}, true},
+		{fmt.Errorf("sync d: %w", syscall.ENOTSUP), true},
+		{fmt.Errorf("sync d: %w", errors.ErrUnsupported), true},
+		{&os.PathError{Op: "sync", Path: "d", Err: syscall.EIO}, false},
+		{fmt.Errorf("sync d: %w", syscall.ENOSPC), false},
+	}
+	for _, c := range cases {
+		if got := syncUnsupported(c.err); got != c.unsupported {
+			t.Errorf("syncUnsupported(%v) = %v, want %v", c.err, got, c.unsupported)
+		}
+	}
+	if err := syncDir(t.TempDir()); err != nil {
+		t.Fatalf("syncDir of a fresh directory: %v", err)
 	}
 }

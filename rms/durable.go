@@ -42,9 +42,9 @@ type DurableOptions struct {
 	CheckpointEveryOps int
 
 	// RetainSegments keeps at least this many of the newest log segments
-	// through checkpoint-driven pruning — a static cushion for WAL-shipping
-	// followers tailing the directory, useful when no feedback channel exists
-	// to drive SetRetainFloor. Zero retains only what recovery requires.
+	// through checkpoint-driven pruning — a cushion for WAL-shipping
+	// followers tailing the directory; a follower lapped anyway resyncs from
+	// the next checkpoint. Zero retains only what recovery requires.
 	RetainSegments int
 }
 
@@ -110,6 +110,10 @@ type DurableStore struct {
 	// paths can report the durable position without touching wmu (LastSeq
 	// takes the writer lock; /healthz and per-read annotations must not).
 	appliedSeq atomic.Uint64
+
+	// failed holds the log's failure, wrapped in ErrLogFailed, once the log
+	// has failed; atomic so Err never waits on wmu.
+	failed atomic.Pointer[error]
 
 	// tel, when set, mirrors checkpoint traffic into obs handles (the store
 	// and WAL wire their own shares; see DurableStore.SetTelemetry). Atomic
@@ -240,6 +244,36 @@ var errClosed = fmt.Errorf("rms: durable store is closed")
 // disk space, alert).
 var ErrAutoCheckpoint = errors.New("rms: auto-checkpoint failed (the triggering write was applied)")
 
+// ErrLogFailed wraps the write-ahead log error (a write, flush, fsync or
+// rotation failure) that made a DurableStore read-only. The outcome of the
+// write that hit it is unknown: its record may or may not be on disk, and
+// only a reopen, whose recovery reads the disk, can tell. Every later write
+// is refused with the same error; reads keep serving the last committed
+// generation. Err reports it.
+var ErrLogFailed = errors.New("rms: write-ahead log failed")
+
+// Err returns nil while the store accepts writes, or the log failure,
+// wrapped in ErrLogFailed, that made it read-only. It does not take the
+// writer lock.
+func (ds *DurableStore) Err() error {
+	if p := ds.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// logErr passes err from a log call through, wrapped in ErrLogFailed and
+// recorded for Err when the log has failed; a rejection that failed nothing
+// (an oversized batch) stays as it is. wmu must be held.
+func (ds *DurableStore) logErr(err error) error {
+	if err == nil || ds.log.Err() == nil {
+		return err
+	}
+	err = fmt.Errorf("%w: %w", ErrLogFailed, ds.log.Err())
+	ds.failed.Store(&err)
+	return err
+}
+
 // Insert durably adds a tuple (replacing any live tuple with the same ID):
 // the update is logged, synced per the configured policy, and then applied.
 func (ds *DurableStore) Insert(p Point) error {
@@ -354,7 +388,7 @@ func (ds *DurableStore) applyLocked(batch []Update) error {
 		return err
 	}
 	if _, err := ds.log.Append(ops); err != nil {
-		return err
+		return ds.logErr(err)
 	}
 	ds.store.ApplyReplicated(ops)
 	ds.opsSinceCkpt += len(ds.ops)
@@ -409,7 +443,7 @@ func (ds *DurableStore) Checkpoint() (uint64, error) {
 		// cover seq, so every batch up to seq must be at least as durable as
 		// the checkpoint that supersedes it.
 		if err := ds.log.Sync(); err != nil {
-			return err
+			return ds.logErr(err)
 		}
 		// Reset the auto-checkpoint trigger at capture time — operations
 		// applied while the snapshot is being written to disk are NOT
@@ -509,7 +543,7 @@ func (ds *DurableStore) Sync() error {
 	if ds.closed {
 		return errClosed
 	}
-	return ds.log.Sync()
+	return ds.logErr(ds.log.Sync())
 }
 
 // Close syncs and closes the log and releases the engine's persistent shard
@@ -538,20 +572,6 @@ func (ds *DurableStore) LastSeq() uint64 {
 // annotations) that must never wait on ingestion. It may trail LastSeq by
 // the in-flight write that is between its log append and its commit.
 func (ds *DurableStore) AppliedSeq() uint64 { return ds.appliedSeq.Load() }
-
-// SetRetainFloor pins WAL pruning so every batch with seq >= seq stays
-// replayable — the feedback channel for replication: point it at the oldest
-// seq any live follower still needs and checkpoint-driven pruning can never
-// race a slow follower out of its position (see wal.Log.SetRetainFloor).
-// Zero clears the floor.
-func (ds *DurableStore) SetRetainFloor(seq uint64) {
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	if ds.closed {
-		return
-	}
-	ds.log.SetRetainFloor(seq)
-}
 
 // Dir returns the durability directory.
 func (ds *DurableStore) Dir() string { return ds.dir }

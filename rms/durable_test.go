@@ -2,6 +2,7 @@ package rms
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -636,5 +637,49 @@ func TestDurableStoreAutoCheckpointEveryOps(t *testing.T) {
 			}
 		}
 		re.Close()
+	}
+}
+
+// A write the log failed must never come back: once a log write fails, the
+// store refuses every later write, even after the fault is gone, and keeps
+// serving the last committed generation.
+func TestDurableStoreFailStopAfterLogError(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	d := 3
+	initial := durableTestPoints(rng, 40, d, 0)
+	dir := filepath.Join(t.TempDir(), "wal")
+	ds, err := OpenDurable(dir, d, initial, durableTestOptions(),
+		DurableOptions{SyncEveryBatch: true, SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	batches := durableTestBatches(rng, initial, 3, d)
+	if err := ds.ApplyBatch(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := ds.Current().ID()
+	// Every append rotates, so with the directory gone the next one cannot
+	// create its segment.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.ApplyBatch(batches[1]); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("write into a removed directory: %v, want ErrLogFailed", err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.ApplyBatch(batches[2]); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("write after the log failed: %v, want ErrLogFailed", err)
+	}
+	if _, err := ds.Checkpoint(); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("checkpoint after the log failed: %v, want ErrLogFailed", err)
+	}
+	if err := ds.Err(); !errors.Is(err, ErrLogFailed) {
+		t.Fatalf("Err = %v, want ErrLogFailed", err)
+	}
+	if g := ds.Current(); g.ID() != before || len(g.Result()) == 0 {
+		t.Fatalf("serving generation %d with %d results, want %d unchanged", g.ID(), len(g.Result()), before)
 	}
 }
