@@ -15,7 +15,7 @@
 // Endpoints:
 //
 //	GET  /result                  the current k-RMS answer
-//	GET  /topk?u=0.3,0.7&k=5      top-k tuples under a preference vector
+//	GET  /topk?u=0.3,0.7&k=5      top-k tuples under a preference vector (k <= 1000)
 //	GET  /regret?u=0.3,0.7        k-regret ratio of the answer for one user
 //	GET  /stats                   database size, answer size, maintenance stats
 //	GET  /healthz                 liveness: 200 while the process serves, with state JSON
@@ -23,6 +23,9 @@
 //	GET  /metrics                 Prometheus text exposition of every layer's metrics
 //	GET  /debug/vars              recent batch traces + cumulative phase breakdown, JSON
 //	POST /update                  JSON batch: {"insert": [{"id":..,"values":[..]}], "delete": [ids]}
+//
+// GET /topk answers 400 for a k above maxTopK (1000), so one request cannot
+// walk and encode the whole database.
 //
 // Every read response carries the generation it was served from plus the
 // backend's replication position (state, applied_seq, staleness_ms where
@@ -298,6 +301,10 @@ func healthBody(g *rms.Generation, mt meta) map[string]any {
 // request could make the server allocate without bound.
 const maxUpdateBody = 64 << 20
 
+// maxTopK caps k on GET /topk. Without a cap one request could walk and
+// encode the whole database.
+const maxTopK = 1000
+
 // newMux wires the read and update handlers around a backend. Every read
 // handler pins ONE generation for its whole response, so the fields of a
 // single response are mutually consistent even while batches commit.
@@ -388,6 +395,10 @@ func newMux(b backend, tel *rms.Telemetry, reg *obs.Registry, usePprof bool) *ht
 				return
 			}
 			k = v
+		}
+		if k > maxTopK {
+			httpError(w, http.StatusBadRequest, "k = %d exceeds the limit of %d", k, maxTopK)
+			return
 		}
 		g, ok := requireGen(w)
 		if !ok {

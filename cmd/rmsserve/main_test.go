@@ -104,6 +104,27 @@ func TestServeEndpoints(t *testing.T) {
 	get(t, srv, "/regret", 400)              // missing u
 }
 
+// A k above maxTopK is refused with 400 before any generation is pinned;
+// k = maxTopK is served.
+func TestServeTopKRejectsOversizedK(t *testing.T) {
+	store := testStore(t, 200, 3)
+	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))
+	defer srv.Close()
+
+	before := store.Current()
+	get(t, srv, fmt.Sprintf("/topk?u=0.5,0.3,0.2&k=%d", maxTopK+1), 400)
+	if store.Current() != before {
+		t.Fatalf("a refused /topk moved the generation from %d to %d", before.ID(), store.Current().ID())
+	}
+	top := get(t, srv, fmt.Sprintf("/topk?u=0.5,0.3,0.2&k=%d", maxTopK), 200)
+	if got := len(top["topk"].([]any)); got != 200 {
+		t.Fatalf("k = %d over 200 tuples returned %d", maxTopK, got)
+	}
+	if top["generation"].(float64) != float64(before.ID()) {
+		t.Fatalf("k = %d served generation %v, want %d", maxTopK, top["generation"], before.ID())
+	}
+}
+
 func TestServeUpdateAdvancesGeneration(t *testing.T) {
 	store := testStore(t, 100, 2)
 	srv := httptest.NewServer(newMux(memBackend{store: store}, nil, nil, false))

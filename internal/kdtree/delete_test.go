@@ -33,7 +33,7 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 		if idx == nilNode {
 			return 0, 0
 		}
-		n := &tr.nodes[idx]
+		n := tr.node(idx)
 		ll, lm := walk(n.left)
 		rl, rm := walk(n.right)
 		live, maxDel := ll+rl, lm
@@ -149,16 +149,16 @@ func findNode(tr *Tree, idx int32, id int) int32 {
 	if idx == nilNode {
 		return nilNode
 	}
-	if tr.pts[idx].ID == id && !tr.nodes[idx].deleted {
+	if tr.pts[idx].ID == id && !tr.node(idx).deleted {
 		return idx
 	}
-	if f := findNode(tr, tr.nodes[idx].left, id); f != nilNode {
+	if f := findNode(tr, tr.node(idx).left, id); f != nilNode {
 		return f
 	}
-	return findNode(tr, tr.nodes[idx].right, id)
+	return findNode(tr, tr.node(idx).right, id)
 }
 
-// The defensive-rebuild branch: when the by-id map and the tree disagree
+// The defensive-rebuild branch: when the id table and the tree disagree
 // (the tombstone search comes up empty for a live id), Delete must rebuild
 // and land in a fully consistent state instead of leaving a phantom node.
 func TestDeleteDefensiveRebuild(t *testing.T) {
@@ -168,12 +168,12 @@ func TestDeleteDefensiveRebuild(t *testing.T) {
 	tr := New(d, pts)
 
 	// Corrupt: mark id 7's node deleted behind the tree's back, so the
-	// coming tombstone search fails while byID still lists the point.
+	// coming tombstone search fails while the id table still lists the point.
 	n := findNode(tr, tr.root, 7)
 	if n == nilNode {
 		t.Fatal("setup: node 7 not found")
 	}
-	tr.nodes[n].deleted = true
+	tr.nodeW(n).deleted = true
 
 	if !tr.Delete(7) {
 		t.Fatal("Delete(7) reported missing")
@@ -225,7 +225,7 @@ func TestDeleteDefensiveRebuildDuringRetain(t *testing.T) {
 	if n == nilNode {
 		t.Fatal("setup: node 2 not found")
 	}
-	tr.nodes[n].deleted = true
+	tr.nodeW(n).deleted = true
 	if !tr.Delete(2) {
 		t.Fatal("Delete(2) reported missing")
 	}

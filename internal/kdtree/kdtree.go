@@ -11,17 +11,22 @@
 //
 // # Arena layout
 //
-// Nodes live in a flat arena, not a pointer graph: children are int32
-// indices into a single node slice, and the per-node data the query inner
-// loops stream — subtree bounding boxes and the point coordinates — sit in
-// flat dim-strided float64 arrays (structure-of-arrays), so boxScoreUB and
-// the score evaluation read contiguous memory instead of chasing heap
-// pointers. Insertion appends to the arena; rebuilds compact it in place,
-// reusing both the arena storage and a persistent record scratch, so
-// steady-state maintenance does not allocate. The branch-and-bound frontier
-// and the result ranking use typed inline heaps backed by caller-owned
-// QueryScratch buffers (see scratch.go): a warmed-up TopKInto/AtLeastInto
-// query performs zero allocations.
+// Nodes live in an arena, not a pointer graph: children are int32 slot
+// indices, and the per-node data the query inner loops stream — subtree
+// bounding boxes and the point coordinates — sit in dim-strided float64
+// arrays (structure-of-arrays), so boxScoreUB and the score evaluation read
+// contiguous memory instead of chasing heap pointers. The state a View reads
+// and the writer changes in place — the node records and the boxMax rows —
+// lives in fixed-size pages behind a page table (page.go); the point payload
+// and the flat coordinates are append-only between rebuilds and stay flat,
+// and so does boxMin, which only the writer reads. An id → slot table
+// (idIndex) answers Contains and PointByID and lives in pages of its own.
+// Taking a View copies the two page tables and advances the tree's
+// generation; the writer clones an older page the first time it writes to
+// it, so a commit copies the pages it touched, not the tree. The
+// branch-and-bound frontier and the result ranking use typed inline heaps
+// backed by caller-owned QueryScratch buffers (see scratch.go): a warmed-up
+// TopKInto/AtLeastInto query performs zero allocations.
 //
 // # Epoch versioning
 //
@@ -53,7 +58,7 @@ const nilNode = int32(-1)
 
 // node is the scalar metadata of one arena slot. The fields the query inner
 // loops stream over many nodes — bounding boxes and point coordinates —
-// live in the Tree's flat dim-strided arrays instead (structure-of-arrays).
+// live in dim-strided arrays instead (structure-of-arrays).
 type node struct {
 	left, right int32
 	axis        int32
@@ -63,29 +68,27 @@ type node struct {
 	liveCount   int32
 }
 
-// arena is the flat node storage plus the fields the score-query read paths
-// touch: slot i of every slice describes the same node. boxMin, boxMax and
-// coords are flat dim-strided arrays (slot i occupies [i*dim, (i+1)*dim)),
-// so the branch-and-bound upper-bound and score computations stream
-// contiguous float64s. The query methods live on arena so a Tree (mutable,
-// reading the present) and a View (immutable, pinned to one epoch) share
-// one implementation.
+// arena is the node storage the score queries read: slot i of every array
+// describes the same node. Node records and boxMax rows sit in pages (see
+// page.go); coords is a flat dim-strided copy of the points' coordinates
+// (slot i occupies [i*dim, (i+1)*dim)), so the score computation streams
+// contiguous float64s. len(pts) is the number of slots in use. The query
+// methods live on arena so a Tree (mutable, reading the present) and a View
+// (immutable, pinned to one epoch) share one implementation.
 type arena struct {
 	dim    int
-	nodes  []node
+	pages  []*page
 	pts    []geom.Point // node payload, returned in Results
 	coords []float64    // flat copy of pts[i].Coords (hot score path)
-	boxMin []float64    // subtree bounding boxes (nil in a View)
-	boxMax []float64
 	root   int32
 }
 
 // Tree is a dynamic k-d tree over points in R^d.
 type Tree struct {
 	arena
-	live    int
+	boxMin  []float64 // subtree box minima, flat like coords; views never read them
+	ids     idIndex   // live id → slot
 	removed int
-	byID    map[int]liveEntry
 
 	recScratch []rec // reusable rebuild record buffer
 
@@ -94,16 +97,14 @@ type Tree struct {
 	retainFloor uint64        // epoch at BeginRetain (valid when retaining)
 	graveyard   map[int]grave // retained tombstones by id (only while retaining)
 
-	// arenaShared is set by View() and means an outstanding View aliases
-	// pts/coords (and the next rebuild must therefore allocate fresh backing
-	// arrays instead of compacting in place). Cleared by rebuild.
-	arenaShared bool
-}
-
-// liveEntry is the by-id record of a live point.
-type liveEntry struct {
-	p   geom.Point
-	ins uint64 // insertion epoch
+	// gen is the page generation. View() advances it, so every page and
+	// array stamped with an older generation may be shared with a view and
+	// must not be written in place.
+	gen uint64
+	// flatGen is the generation in which pts and coords were allocated. When
+	// it is older than gen, a view aliases their prefix, so the next rebuild
+	// moves them to fresh backing arrays instead of compacting in place.
+	flatGen uint64
 }
 
 // grave is the by-id record of a tombstone kept alive by a retain window.
@@ -123,39 +124,42 @@ type rec struct {
 // New builds a balanced tree over pts by recursive median split.
 // The input slice is not modified.
 func New(dim int, pts []geom.Point) *Tree {
-	t := &Tree{arena: arena{dim: dim, root: nilNode}, byID: make(map[int]liveEntry, len(pts))}
+	t := &Tree{arena: arena{dim: dim, root: nilNode}, ids: newIDIndex(len(pts), 0)}
 	recs := make([]rec, len(pts))
 	for i, p := range pts {
 		recs[i] = rec{p: p}
-		t.byID[p.ID] = liveEntry{p: p}
 	}
 	t.growArena(len(recs))
 	t.root = t.build(recs, 0)
-	t.live = len(pts)
 	return t
 }
 
-// growArena reserves arena capacity for n more nodes.
+// growArena reserves flat-array capacity for n more nodes.
 func (t *Tree) growArena(n int) {
-	t.nodes = slices.Grow(t.nodes, n)
 	t.pts = slices.Grow(t.pts, n)
 	t.coords = slices.Grow(t.coords, n*t.dim)
 	t.boxMin = slices.Grow(t.boxMin, n*t.dim)
-	t.boxMax = slices.Grow(t.boxMax, n*t.dim)
 }
 
 // pushNode appends one node to the arena with its box initialized to the
-// point itself and no children; liveCount/maxDel are set by refreshBounds.
+// point itself and no children, and maps a live node's id to its slot;
+// liveCount/maxDel are set by refreshBounds.
 func (t *Tree) pushNode(r rec, axis int) int32 {
-	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{
+	idx := int32(len(t.pts))
+	if int(idx>>pageShift) == len(t.pages) {
+		t.pages = append(t.pages, &page{boxMax: make([]float64, pageLen*t.dim), gen: t.gen})
+	}
+	*t.nodeW(idx) = node{
 		left: nilNode, right: nilNode, axis: int32(axis),
 		deleted: r.deleted, ins: r.ins, del: r.del,
-	})
+	}
+	copy(t.boxMaxW(idx), r.p.Coords)
 	t.pts = append(t.pts, r.p)
 	t.coords = append(t.coords, r.p.Coords...)
 	t.boxMin = append(t.boxMin, r.p.Coords...)
-	t.boxMax = append(t.boxMax, r.p.Coords...)
+	if !r.deleted {
+		t.ids.put(r.p.ID, idx, t.gen)
+	}
 	return idx
 }
 
@@ -169,11 +173,12 @@ func (t *Tree) build(recs []rec, axis int) int32 {
 	selectKth(recs, mid, axis)
 	idx := t.pushNode(recs[mid], axis)
 	next := (axis + 1) % t.dim
-	// The arena may reallocate during recursion: write children through the
+	// The recursion may clone or add pages: write children through the
 	// index, never through a held pointer.
 	l := t.build(recs[:mid], next)
 	r := t.build(recs[mid+1:], next)
-	t.nodes[idx].left, t.nodes[idx].right = l, r
+	n := t.nodeW(idx)
+	n.left, n.right = l, r
 	t.refreshBounds(idx)
 	return idx
 }
@@ -222,11 +227,12 @@ func selectKth(recs []rec, k, axis int) {
 // refreshBounds recomputes the box, liveCount and maxDel of slot idx from
 // its point and children.
 func (t *Tree) refreshBounds(idx int32) {
-	n := &t.nodes[idx]
+	n := t.nodeW(idx)
 	d := t.dim
 	base := int(idx) * d
-	copy(t.boxMin[base:base+d], t.coords[base:base+d])
-	copy(t.boxMax[base:base+d], t.coords[base:base+d])
+	bmin, bmax := t.boxMin[base:base+d], t.boxMaxW(idx)
+	copy(bmin, t.coords[base:base+d])
+	copy(bmax, t.coords[base:base+d])
 	n.liveCount = 0
 	n.maxDel = 0
 	if n.deleted {
@@ -238,18 +244,18 @@ func (t *Tree) refreshBounds(idx int32) {
 		if c == nilNode {
 			continue
 		}
-		cn := &t.nodes[c]
+		cn := t.node(c)
 		n.liveCount += cn.liveCount
 		if cn.maxDel > n.maxDel {
 			n.maxDel = cn.maxDel
 		}
-		cb := int(c) * d
+		cmin, cmax := t.boxMin[int(c)*d:][:d], t.boxMaxRow(c)
 		for i := 0; i < d; i++ {
-			if t.boxMin[cb+i] < t.boxMin[base+i] {
-				t.boxMin[base+i] = t.boxMin[cb+i]
+			if cmin[i] < bmin[i] {
+				bmin[i] = cmin[i]
 			}
-			if t.boxMax[cb+i] > t.boxMax[base+i] {
-				t.boxMax[base+i] = t.boxMax[cb+i]
+			if cmax[i] > bmax[i] {
+				bmax[i] = cmax[i]
 			}
 		}
 	}
@@ -270,7 +276,7 @@ func (n *node) emptyAt(e uint64) bool {
 }
 
 // Len returns the number of live points.
-func (t *Tree) Len() int { return t.live }
+func (t *Tree) Len() int { return t.ids.count }
 
 // Dim returns the tree's dimensionality.
 func (t *Tree) Dim() int { return t.dim }
@@ -298,28 +304,30 @@ func (t *Tree) BeginRetain() uint64 {
 func (t *Tree) EndRetain() {
 	t.retaining = false
 	clear(t.graveyard)
-	if t.removed > t.live {
+	if t.removed > t.Len() {
 		t.rebuild()
 	}
 }
 
 // Contains reports whether a live point with the given id exists.
 func (t *Tree) Contains(id int) bool {
-	_, ok := t.byID[id]
+	_, ok := t.ids.find(id)
 	return ok
 }
 
 // PointByID returns the live point with the given id.
 func (t *Tree) PointByID(id int) (geom.Point, bool) {
-	le, ok := t.byID[id]
-	return le.p, ok
+	if slot, ok := t.ids.find(id); ok {
+		return t.pts[slot], true
+	}
+	return geom.Point{}, false
 }
 
 // PointByIDAt returns the point with the given id as it was live at epoch e.
 // Deleted points are found only inside a retain window covering e.
 func (t *Tree) PointByIDAt(id int, e uint64) (geom.Point, bool) {
-	if le, ok := t.byID[id]; ok && le.ins <= e {
-		return le.p, true
+	if slot, ok := t.ids.find(id); ok && t.node(slot).ins <= e {
+		return t.pts[slot], true
 	}
 	if g, ok := t.graveyard[id]; ok && g.ins <= e && g.del > e {
 		return g.p, true
@@ -330,9 +338,13 @@ func (t *Tree) PointByIDAt(id int, e uint64) (geom.Point, bool) {
 // Points returns all live points in unspecified order. The slice is freshly
 // allocated at exactly the live count.
 func (t *Tree) Points() []geom.Point {
-	out := make([]geom.Point, 0, t.live)
-	for _, le := range t.byID {
-		out = append(out, le.p)
+	out := make([]geom.Point, 0, t.Len())
+	for _, pg := range t.ids.pages {
+		for _, e := range pg.ents {
+			if e.ref != 0 {
+				out = append(out, t.pts[e.ref-1])
+			}
+		}
 	}
 	return out
 }
@@ -344,8 +356,6 @@ func (t *Tree) Insert(p geom.Point) {
 		t.Delete(p.ID)
 	}
 	t.epoch++
-	t.byID[p.ID] = liveEntry{p: p, ins: t.epoch}
-	t.live++
 	if t.root == nilNode {
 		t.root = t.pushNode(rec{p: p, ins: t.epoch}, 0)
 		t.refreshBounds(t.root)
@@ -357,15 +367,17 @@ func (t *Tree) Insert(p geom.Point) {
 func (t *Tree) insertAt(idx int32, p geom.Point, ins uint64) {
 	d := t.dim
 	for {
-		n := &t.nodes[idx]
+		pg := t.ownPage(idx)
+		n := &pg.nodes[idx&pageMask]
 		n.liveCount++
 		base := int(idx) * d
+		bmin, bmax := t.boxMin[base:base+d], pg.boxMax[int(idx&pageMask)*d:][:d]
 		for i := 0; i < d; i++ {
-			if p.Coords[i] < t.boxMin[base+i] {
-				t.boxMin[base+i] = p.Coords[i]
+			if p.Coords[i] < bmin[i] {
+				bmin[i] = p.Coords[i]
 			}
-			if p.Coords[i] > t.boxMax[base+i] {
-				t.boxMax[base+i] = p.Coords[i]
+			if p.Coords[i] > bmax[i] {
+				bmax[i] = p.Coords[i]
 			}
 		}
 		axis := int(n.axis)
@@ -376,13 +388,13 @@ func (t *Tree) insertAt(idx int32, p geom.Point, ins uint64) {
 			child = n.left
 		}
 		if child == nilNode {
-			// pushNode may reallocate the arena: write the link through the
+			// pushNode may clone or add a page: write the link through the
 			// index, not through n.
 			c := t.pushNode(rec{p: p, ins: ins}, next)
 			if goLeft {
-				t.nodes[idx].left = c
+				t.nodeW(idx).left = c
 			} else {
-				t.nodes[idx].right = c
+				t.nodeW(idx).right = c
 			}
 			t.refreshBounds(c)
 			return
@@ -397,25 +409,25 @@ func (t *Tree) insertAt(idx int32, p geom.Point, ins uint64) {
 // retain window the rebuild is deferred to EndRetain so historic reads stay
 // valid.
 func (t *Tree) Delete(id int) bool {
-	le, ok := t.byID[id]
+	slot, ok := t.ids.find(id)
 	if !ok {
 		return false
 	}
-	delete(t.byID, id)
+	p, ins := t.pts[slot], t.node(slot).ins
+	t.ids.remove(id, t.gen)
 	t.epoch++
 	if t.retaining {
-		t.graveyard[id] = grave{p: le.p, ins: le.ins, del: t.epoch}
+		t.graveyard[id] = grave{p: p, ins: ins, del: t.epoch}
 	}
-	if !t.tombstone(t.root, le.p, t.epoch) {
-		// The map and tree disagree; rebuild defensively to restore the
+	if !t.tombstone(t.root, p, t.epoch) {
+		// The id table and tree disagree; rebuild defensively to restore the
 		// invariant rather than leave a phantom live node. The rebuild keeps
 		// retained tombstones, so open retain windows survive it.
 		t.rebuild()
 		return true
 	}
-	t.live--
 	t.removed++
-	if !t.retaining && t.removed > t.live {
+	if !t.retaining && t.removed > t.Len() {
 		t.rebuild()
 	}
 	return true
@@ -424,7 +436,8 @@ func (t *Tree) Delete(id int) bool {
 // tombstone finds the node holding point p (matching by ID) and marks it
 // deleted at epoch del, decrementing live counts along the path.
 // Coordinates equal on the split axis may sit in either subtree, so both
-// are searched when needed.
+// are searched when needed. Nodes are written only once the path is known,
+// so a failed search clones no page.
 func (t *Tree) tombstone(idx int32, p geom.Point, del uint64) bool {
 	if idx == nilNode {
 		return false
@@ -432,13 +445,15 @@ func (t *Tree) tombstone(idx int32, p geom.Point, del uint64) bool {
 	d := t.dim
 	base := int(idx) * d
 	// Box pruning: p must be inside the subtree's bounding box.
+	bmax := t.boxMaxRow(idx)
 	for i := 0; i < d; i++ {
-		if p.Coords[i] < t.boxMin[base+i] || p.Coords[i] > t.boxMax[base+i] {
+		if p.Coords[i] < t.boxMin[base+i] || p.Coords[i] > bmax[i] {
 			return false
 		}
 	}
-	n := &t.nodes[idx] // no arena growth during tombstoning: safe to hold
+	n := t.node(idx)
 	if t.pts[idx].ID == p.ID && !n.deleted {
+		n = t.nodeW(idx)
 		n.deleted = true
 		n.del = del
 		if del > n.maxDel {
@@ -447,72 +462,65 @@ func (t *Tree) tombstone(idx int32, p geom.Point, del uint64) bool {
 		n.liveCount--
 		return true
 	}
-	if p.Coords[n.axis] < t.coords[base+int(n.axis)] {
-		if t.tombstone(n.left, p, del) {
-			n.liveCount--
-			if del > n.maxDel {
-				n.maxDel = del
-			}
-			return true
-		}
+	left, right := n.left, n.right
+	split := t.coords[base+int(n.axis)]
+	var found bool
+	if c := p.Coords[n.axis]; c < split {
+		found = t.tombstone(left, p, del)
+	} else {
+		// Equal axis values historically went right, but an interleaved
+		// rebuild may have placed them left of the median; search the other
+		// side too.
+		found = t.tombstone(right, p, del) || (c == split && t.tombstone(left, p, del))
+	}
+	if !found {
 		return false
 	}
-	if t.tombstone(n.right, p, del) {
-		n.liveCount--
-		if del > n.maxDel {
-			n.maxDel = del
-		}
-		return true
+	n = t.nodeW(idx)
+	n.liveCount--
+	if del > n.maxDel {
+		n.maxDel = del
 	}
-	// Equal axis values historically went right, but an interleaved rebuild
-	// may have placed them left of the median; search the other side too.
-	if p.Coords[n.axis] == t.coords[base+int(n.axis)] && t.tombstone(n.left, p, del) {
-		n.liveCount--
-		if del > n.maxDel {
-			n.maxDel = del
-		}
-		return true
-	}
-	return false
+	return true
 }
 
-// rebuild reconstructs the tree from the live points (the by-id map is
+// rebuild reconstructs the tree from the live points (the id table is
 // authoritative), keeping the tombstones of an open retain window so
-// historic reads stay exact. The arena is compacted in place: its storage
-// and the record scratch are reused across rebuilds, so steady-state
-// compaction performs no allocation beyond amortized growth. When an
-// outstanding View aliases the arena (arenaShared), compaction instead
-// moves to fresh backing arrays — copy-on-write — so the View keeps reading
-// its frozen prefix of the abandoned arrays while the live tree walks away.
+// historic reads stay exact. Live points are gathered in slot order, so the
+// same history builds the same tree (only a defensive rebuild inside a
+// retain window adds tombstones in map order). The tree is built into fresh
+// pages and a fresh id table; views keep the old ones. pts and coords are
+// compacted in place, reusing their storage and the record scratch, unless
+// a view aliases them (flatGen older than gen): then they move to fresh
+// backing arrays, so the view keeps reading its frozen prefix of the
+// abandoned ones while the live tree walks away.
 func (t *Tree) rebuild() {
 	recs := t.recScratch[:0]
-	for _, le := range t.byID {
-		recs = append(recs, rec{p: le.p, ins: le.ins})
+	for i, p := range t.pts {
+		if slot, ok := t.ids.find(p.ID); ok && int(slot) == i {
+			recs = append(recs, rec{p: p, ins: t.node(slot).ins})
+		}
 	}
-	removed := 0
+	live := len(recs)
 	if t.retaining {
 		for _, g := range t.graveyard {
 			if g.del > t.retainFloor {
 				recs = append(recs, rec{p: g.p, ins: g.ins, del: g.del, deleted: true})
-				removed++
 			}
 		}
 	}
 	t.recScratch = recs
-	if t.arenaShared {
-		t.nodes, t.pts, t.coords, t.boxMin, t.boxMax = nil, nil, nil, nil, nil
-		t.arenaShared = false
-		t.growArena(len(recs))
-	} else {
-		t.nodes = t.nodes[:0]
-		t.pts = t.pts[:0]
-		t.coords = t.coords[:0]
-		t.boxMin = t.boxMin[:0]
-		t.boxMax = t.boxMax[:0]
+	if t.flatGen != t.gen {
+		t.pts, t.coords = nil, nil
+		t.flatGen = t.gen
 	}
+	t.pts, t.coords, t.boxMin = t.pts[:0], t.coords[:0], t.boxMin[:0]
+	t.growArena(len(recs))
+	clear(t.pages)
+	t.pages = t.pages[:0]
+	t.ids.alloc(live, t.gen)
 	t.root = t.build(recs, 0)
-	t.live = len(t.byID)
-	t.removed = removed
+	t.removed = len(recs) - live
 	// Drop stale point references from the reusable buffers so compaction
 	// does not pin coordinate arrays of long-gone tuples.
 	clear(recs)
@@ -520,10 +528,11 @@ func (t *Tree) rebuild() {
 }
 
 // boxScoreUB returns an upper bound on <u, p> over every point in the box
-// of slot idx. Utilities are nonnegative, so the per-axis maximum is tight.
-// The box row is one contiguous stretch of the flat boxMax array.
-func (a *arena) boxScoreUB(u geom.Vector, idx int32) float64 {
-	box := a.boxMax[int(idx)*a.dim:][:len(u)]
+// of the page's slot i (i < pageLen; len(u) is the dimension). Utilities
+// are nonnegative, so the per-axis maximum is tight. The box row is one
+// contiguous stretch of the page's boxMax array.
+func (pg *page) boxScoreUB(u geom.Vector, i int32) float64 {
+	box := pg.boxMax[int(i)*len(u):][:len(u)]
 	var s float64
 	for i, ui := range u {
 		s += ui * box[i]
@@ -617,7 +626,8 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 	prevResults := len(sc.results)
 	frontier := sc.frontier[:0]
 	best = sc.results[:0]
-	frontier = pushFrontier(frontier, frontierEntry{a.boxScoreUB(u, a.root), a.root})
+	rp := a.pages[a.root>>pageShift]
+	frontier = pushFrontier(frontier, frontierEntry{rp.boxScoreUB(u, a.root&pageMask), a.root})
 	for len(frontier) > 0 {
 		var ent frontierEntry
 		ent, frontier = popFrontier(frontier)
@@ -628,7 +638,7 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 			}
 			break
 		}
-		n := &a.nodes[ent.idx]
+		n := a.node(ent.idx)
 		if n.visibleAt(e) {
 			s := a.scoreOf(u, ent.idx)
 			if len(best) < k {
@@ -645,10 +655,14 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 			}
 		}
 		for _, c := range [2]int32{n.left, n.right} {
-			if c == nilNode || a.nodes[c].emptyAt(e) {
+			if c == nilNode {
 				continue
 			}
-			ub := a.boxScoreUB(u, c)
+			cp := a.pages[c>>pageShift]
+			if cp.nodes[c&pageMask].emptyAt(e) {
+				continue
+			}
+			ub := cp.boxScoreUB(u, c&pageMask)
 			if len(best) < k || ub > best[0].Score {
 				frontier = pushFrontier(frontier, frontierEntry{ub, c})
 			} else if ub == best[0].Score {
@@ -760,8 +774,9 @@ func (a *arena) atLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScr
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := &a.nodes[idx]
-		if n.emptyAt(e) || a.boxScoreUB(u, idx) < tau {
+		pg := a.pages[idx>>pageShift]
+		n := &pg.nodes[idx&pageMask]
+		if n.emptyAt(e) || pg.boxScoreUB(u, idx&pageMask) < tau {
 			continue
 		}
 		if n.visibleAt(e) {

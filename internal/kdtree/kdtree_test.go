@@ -257,8 +257,8 @@ func TestRebuildAfterManyDeletes(t *testing.T) {
 	if !sameResults(tr.TopK(u, 5), bruteTopK(rest, u, 5)) {
 		t.Fatal("TopK mismatch after rebuild")
 	}
-	if tr.removed != 0 && tr.removed > tr.live {
-		t.Fatalf("rebuild did not trigger: removed=%d live=%d", tr.removed, tr.live)
+	if tr.removed != 0 && tr.removed > tr.Len() {
+		t.Fatalf("rebuild did not trigger: removed=%d live=%d", tr.removed, tr.Len())
 	}
 }
 
@@ -307,7 +307,7 @@ func TestLiveCountInvariantQuick(t *testing.T) {
 			if idx == nilNode {
 				return 0
 			}
-			n := &tr.nodes[idx]
+			n := tr.node(idx)
 			c := count(n.left) + count(n.right)
 			if !n.deleted {
 				c++

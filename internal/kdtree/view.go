@@ -8,26 +8,30 @@ import (
 
 // View is an immutable snapshot of the tree pinned to the epoch at which it
 // was taken: the score queries (TopKInto, AtLeastInto, KthScoreInto) answer
-// exactly as the live tree would have at that epoch, no matter how many
-// mutations, rebuilds, or retain windows happen afterwards. A View takes no
-// locks and shares no mutable state with the tree, so any number of
-// goroutines may query concurrent Views (each with its own QueryScratch)
-// while a single writer keeps mutating the tree — the MVCC read surface of
-// the serving layer.
+// exactly as the live tree would have at that epoch, and Len and Contains
+// report the live set of that epoch, no matter how many mutations,
+// rebuilds, or retain windows happen afterwards. A View takes no locks and
+// the writer never writes what it reads, so any number of goroutines may
+// query concurrent Views (each with its own QueryScratch) while a single
+// writer keeps mutating the tree — the MVCC read surface of the serving
+// layer.
 //
-// Capture cost and sharing: View() clones the node metadata and the boxMax
-// rows (both mutated in place by Insert/Delete) and SHARES the point payload
-// and flat coordinate arrays, which are append-only between rebuilds — the
-// view reads only its frozen prefix, so concurrent appends past that prefix
-// are race-free. A rebuild while a view is outstanding switches the tree to
-// fresh backing arrays (copy-on-write, see Tree.rebuild) instead of
-// compacting in place, so the view keeps its abandoned arrays. A dropped
-// View is reclaimed by the garbage collector; holding one pins O(arena)
-// memory of its capture instant, nothing of the live tree.
+// Capture cost and sharing: View() copies the node page table and the id
+// table's page table, both O(n/pageLen) pointers, and advances the tree's
+// generation, which marks every current page shared in O(1). The writer
+// clones a shared page the first time it writes to it (Tree.ownPage,
+// idIndex.own), so each later commit copies only the pages it touches. The
+// point payload and flat coordinate arrays are append-only between rebuilds:
+// the view reads only its frozen prefix, so concurrent appends past that
+// prefix are race-free, and a rebuild while a view is outstanding moves
+// them to fresh backing arrays instead of compacting in place. A dropped
+// View is reclaimed by the garbage collector; holding one pins the pages
+// and arrays it shares, which the live tree keeps only until it rewrites
+// them.
 type View struct {
 	arena
+	ids   idIndex
 	epoch uint64
-	live  int
 }
 
 // View captures an immutable snapshot of the current database. The caller
@@ -37,16 +41,15 @@ func (t *Tree) View() *View {
 	v := &View{
 		arena: arena{
 			dim:    t.dim,
-			nodes:  slices.Clone(t.nodes),
+			pages:  slices.Clone(t.pages),
 			pts:    t.pts[:len(t.pts):len(t.pts)],
 			coords: t.coords[:len(t.coords):len(t.coords)],
-			boxMax: slices.Clone(t.boxMax),
 			root:   t.root,
 		},
+		ids:   t.ids.clone(),
 		epoch: t.epoch,
-		live:  t.live,
 	}
-	t.arenaShared = true
+	t.gen++
 	return v
 }
 
@@ -54,7 +57,14 @@ func (t *Tree) View() *View {
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // Len returns the number of points live at the view's epoch.
-func (v *View) Len() int { return v.live }
+func (v *View) Len() int { return v.ids.count }
+
+// Contains reports whether a point with the given id was live at the view's
+// epoch.
+func (v *View) Contains(id int) bool {
+	_, ok := v.ids.find(id)
+	return ok
+}
 
 // Dim returns the view's dimensionality.
 func (v *View) Dim() int { return v.dim }
@@ -87,10 +97,10 @@ func (v *View) AtLeastInto(u geom.Vector, tau float64, sc *QueryScratch) []Resul
 // replaces a live id always tombstones the old node first, so no id has two
 // nodes visible at any single epoch.
 func (v *View) Points() []geom.Point {
-	out := make([]geom.Point, 0, v.live)
-	for i := range v.nodes {
-		if v.nodes[i].visibleAt(v.epoch) {
-			out = append(out, v.pts[i])
+	out := make([]geom.Point, 0, v.Len())
+	for i, p := range v.pts {
+		if v.node(int32(i)).visibleAt(v.epoch) {
+			out = append(out, p)
 		}
 	}
 	return out

@@ -3,6 +3,10 @@ package kdtree
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fdrms/internal/geom"
@@ -81,10 +85,10 @@ func TestViewSeesDeletesBeforeCapture(t *testing.T) {
 	}
 }
 
-// Copy-on-write: a rebuild with an outstanding view must move the live tree
-// to fresh backing arrays (and clear the shared flag), and repeated
-// view-then-churn cycles must keep the live arena bounded — views never pin
-// tombstones inside the live tree.
+// Copy-on-write: View() must mark every page shared, a rebuild with an
+// outstanding view must build into fresh pages and move the live tree to
+// fresh point arrays, and repeated view-then-churn cycles must keep the live
+// arena bounded — views never pin tombstones inside the live tree.
 func TestViewRebuildCopyOnWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	d := 3
@@ -96,8 +100,8 @@ func TestViewRebuildCopyOnWrite(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		views = append(views, tr.View())
 		lens = append(lens, tr.Len())
-		if !tr.arenaShared {
-			t.Fatal("View() did not mark the arena shared")
+		if got, all := sharedPages(tr), len(tr.pages)+len(tr.ids.pages); got != all || tr.flatGen == tr.gen {
+			t.Fatalf("View() marked %d of %d pages shared (flat arrays shared: %v)", got, all, tr.flatGen != tr.gen)
 		}
 		old := &tr.pts[0]
 		for id := round * 64; id < round*64+96; id++ {
@@ -106,14 +110,14 @@ func TestViewRebuildCopyOnWrite(t *testing.T) {
 		for _, p := range randomPoints(rng, 96, d) {
 			tr.Insert(p)
 		}
-		if tr.arenaShared {
-			t.Fatalf("round %d: no rebuild happened under 96 deletes (arena still shared)", round)
+		if got := sharedPages(tr); got != 0 || tr.flatGen != tr.gen {
+			t.Fatalf("round %d: no rebuild happened under 96 deletes (%d pages still shared)", round, got)
 		}
 		if &tr.pts[0] == old {
 			t.Fatalf("round %d: rebuild compacted in place while a view aliased the arena", round)
 		}
-		if len(tr.nodes) > maxArena {
-			maxArena = len(tr.nodes)
+		if len(tr.pts) > maxArena {
+			maxArena = len(tr.pts)
 		}
 	}
 	// The live arena never accumulates across rounds: it holds the live
@@ -128,6 +132,22 @@ func TestViewRebuildCopyOnWrite(t *testing.T) {
 			t.Fatalf("view %d reports %d live points, want %d", i, v.Len(), lens[i])
 		}
 	}
+}
+
+// sharedPages counts the tree's node and id pages that a view may share.
+func sharedPages(tr *Tree) int {
+	n := 0
+	for _, pg := range tr.pages {
+		if pg.gen != tr.gen {
+			n++
+		}
+	}
+	for _, pg := range tr.ids.pages {
+		if pg.gen != tr.gen {
+			n++
+		}
+	}
+	return n
 }
 
 // The deferred rebuild at EndRetain must also copy-on-write when a view is
@@ -174,4 +194,172 @@ func TestViewMatchesTreeAtCapture(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A view answers Len and Contains with the live set of its epoch: ids
+// deleted, re-inserted or inserted after the capture do not change it, and
+// neither does a rebuild after the capture.
+func TestViewContainsAtEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	d := 3
+	tr := New(d, randomPoints(rng, 200, d))
+	for id := 0; id < 20; id++ {
+		tr.Delete(id)
+	}
+	v := tr.View()
+	check := func(what string, v *View, live func(id int) bool, want int) {
+		t.Helper()
+		if v.Len() != want {
+			t.Fatalf("%s: view Len = %d, want %d", what, v.Len(), want)
+		}
+		for id := -1; id < 600; id++ {
+			if v.Contains(id) != live(id) {
+				t.Fatalf("%s: view Contains(%d) = %v, want %v", what, id, v.Contains(id), live(id))
+			}
+		}
+	}
+	atCapture := func(id int) bool { return id >= 20 && id < 200 }
+	check("at capture", v, atCapture, 180)
+
+	for id := 20; id < 60; id++ {
+		tr.Delete(id)
+	}
+	fresh := func(id int) geom.Point { p := randomPoints(rng, 1, d)[0]; p.ID = id; return p }
+	for id := 40; id < 60; id++ {
+		tr.Insert(fresh(id)) // deleted after the capture, then re-inserted
+	}
+	for id := 0; id < 10; id++ {
+		tr.Insert(fresh(id)) // deleted before the capture, re-inserted after
+	}
+	for id := 500; id < 520; id++ {
+		tr.Insert(fresh(id))
+	}
+	tr.Insert(fresh(100)) // replace of an id live at the capture
+	check("after churn", v, atCapture, 180)
+
+	// Deleting more than half of the tree rebuilds it into fresh pages.
+	for id := 60; id < 200; id++ {
+		tr.Delete(id)
+	}
+	if n := sharedPages(tr); n != 0 {
+		t.Fatalf("no rebuild happened: %d pages still shared with the view", n)
+	}
+	check("after rebuild", v, atCapture, 180)
+	present := func(id int) bool { return (id >= 0 && id < 10) || (id >= 40 && id < 60) || (id >= 500 && id < 520) }
+	check("view after rebuild", tr.View(), present, 50)
+	for id := -1; id < 600; id++ {
+		if tr.Contains(id) != present(id) {
+			t.Fatalf("tree Contains(%d) = %v, want %v", id, tr.Contains(id), present(id))
+		}
+	}
+}
+
+// Reader goroutines query pinned views — each checked against a
+// brute-force scan of its own capture — while one writer inserts, replaces,
+// deletes and rebuilds. Views share pages with the live tree, so under
+// -race this checks the copy-on-write rule directly: the writer never
+// writes a page or array a view may read.
+func TestViewConcurrentReadersVsWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const d = 3
+	live := randomPoints(rng, 300, d)
+	at := make(map[int]int, len(live)) // id → index in live
+	for i, p := range live {
+		at[p.ID] = i
+	}
+	tr := New(d, live)
+	type pinned struct {
+		v   *View
+		pts []geom.Point
+	}
+	var cur atomic.Pointer[pinned]
+	publish := func() { cur.Store(&pinned{tr.View(), slices.Clone(live)}) }
+	publish()
+
+	done := make(chan struct{})
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var sc QueryScratch
+			var held []*pinned
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if p := cur.Load(); len(held) < 8 {
+					held = append(held, p)
+				} else {
+					held[rng.Intn(len(held))] = p
+				}
+				q := held[rng.Intn(len(held))]
+				u := randomUnit(rng, d)
+				k := 1 + rng.Intn(8)
+				want := bruteTopK(q.pts, u, k)
+				if got := q.v.TopKInto(u, k, &sc); !sameResults(got, want) {
+					t.Errorf("view at epoch %d: TopK(k=%d) = %v, want %v", q.v.Epoch(), k, got, want)
+					return
+				}
+				if kth, ok := q.v.KthScoreInto(u, k, &sc); !ok || kth != want[len(want)-1].Score {
+					t.Errorf("view at epoch %d: KthScore(k=%d) = %v,%v, want %v", q.v.Epoch(), k, kth, ok, want[len(want)-1].Score)
+					return
+				}
+				if q.v.Len() != len(q.pts) || !q.v.Contains(q.pts[rng.Intn(len(q.pts))].ID) {
+					t.Errorf("view at epoch %d: Len %d for %d points, or a captured id missing", q.v.Epoch(), q.v.Len(), len(q.pts))
+					return
+				}
+				reads.Add(1)
+			}
+		}(int64(r))
+	}
+
+	del := func(i int) {
+		p := live[i]
+		tr.Delete(p.ID)
+		last := len(live) - 1
+		live[i] = live[last]
+		at[live[i].ID] = i
+		live = live[:last]
+		delete(at, p.ID)
+	}
+	next := 1000
+	for round := 0; round < 60; round++ {
+		for op := 0; op < 20; op++ {
+			p := randomPoints(rng, 1, d)[0]
+			switch c := rng.Intn(3); {
+			case c == 0 && len(live) > 50:
+				del(rng.Intn(len(live)))
+				continue
+			case c == 1:
+				p.ID = live[rng.Intn(len(live))].ID // replace a live id
+			default:
+				p.ID = next
+				next++
+			}
+			tr.Insert(p)
+			if i, ok := at[p.ID]; ok {
+				live[i] = p
+			} else {
+				at[p.ID] = len(live)
+				live = append(live, p)
+			}
+		}
+		if round%15 == 14 {
+			for len(live) > 100 {
+				del(rng.Intn(len(live))) // more than half: a rebuild
+			}
+		}
+		publish()
+		// Let the readers overlap the next round's writes.
+		for r0 := reads.Load(); reads.Load() < r0+3 && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
 }

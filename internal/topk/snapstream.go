@@ -95,9 +95,10 @@ type SnapshotSession struct {
 }
 
 // StartSnapshot arms a streaming capture of the current state: counters and
-// the tuple index are pinned immediately (O(arena) view clone), utility
-// states lazily via the copy-on-first-write overlay. Must be called by the
-// engine's single writer; panics if a session is already armed.
+// the tuple index are pinned immediately (a page-table copy, see
+// kdtree.Tree.View), utility states lazily via the copy-on-first-write
+// overlay. Must be called by the engine's single writer; panics if a
+// session is already armed.
 func (e *Engine) StartSnapshot() SnapshotSession {
 	if e.snap.armed {
 		panic("topk: StartSnapshot with a session already armed")

@@ -336,9 +336,6 @@ func (e *Engine) Contains(id int) bool { return e.tree.Contains(id) }
 // PointByID returns the live tuple with the given id.
 func (e *Engine) PointByID(id int) (geom.Point, bool) { return e.tree.PointByID(id) }
 
-// TreeEpoch returns the tuple index's current epoch (see kdtree.Tree.Epoch).
-func (e *Engine) TreeEpoch() uint64 { return e.tree.Epoch() }
-
 // TreeView captures an immutable epoch-pinned snapshot of the tuple index
 // (see kdtree.Tree.View) — the read surface of the MVCC serving layer.
 // Like every mutating entry point, it must be called by the engine's single

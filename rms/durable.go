@@ -68,12 +68,12 @@ func (o DurableOptions) withDefaults() DurableOptions {
 //
 // Reads go through Current, served by the embedded Store, and never touch
 // the log. Writers serialize on the store's write lock plus the log; a
-// Checkpoint STREAMS its capture — it pins the state under the
-// writer lock (an O(arena) generation pin, not an O(state) copy), then
-// captures bounded chunks between writer batches and encodes and writes
-// off the lock entirely — so ingestion keeps flowing for the whole
-// checkpoint, pausing only for the pin plus one chunk at a time, and
-// readers not at all.
+// Checkpoint STREAMS its capture — it pins the state under the writer lock
+// (a page-table copy of the tuple index plus copy-on-write utility states,
+// not an O(state) copy), then captures bounded chunks between writer
+// batches and encodes and writes off the lock entirely — so ingestion keeps
+// flowing for the whole checkpoint, pausing only for the pin plus one chunk
+// at a time, and readers not at all.
 type DurableStore struct {
 	store *Store
 	dir   string

@@ -3,7 +3,6 @@ package rms
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +25,6 @@ import (
 type Generation struct {
 	id     uint64
 	result []Point      // Q_t, ascending id, deep-copied values
-	ids    []int        // ascending ids of every live tuple
 	stats  core.Stats   // frozen maintenance counters
 	k      int          // rank depth for regret evaluation
 	dim    int          // attribute count, for query validation
@@ -57,13 +55,10 @@ func (g *Generation) Result() []Point {
 }
 
 // Len returns the database size of this generation.
-func (g *Generation) Len() int { return len(g.ids) }
+func (g *Generation) Len() int { return g.index.Len() }
 
 // Contains reports whether tuple id was live in this generation.
-func (g *Generation) Contains(id int) bool {
-	i := sort.SearchInts(g.ids, id)
-	return i < len(g.ids) && g.ids[i] == id
-}
+func (g *Generation) Contains(id int) bool { return g.index.Contains(id) }
 
 // Stats reports the maintenance internals frozen at this generation.
 func (g *Generation) Stats() core.Stats { return g.stats }
@@ -158,56 +153,4 @@ func (g *Generation) RegretRatioFor(utility []float64) (float64, error) {
 		return r, nil
 	}
 	return 0, nil
-}
-
-// idDelta is the net liveness change of one id within a committed write.
-type idDelta struct {
-	id   int
-	live bool
-}
-
-// nextIDs merges the sorted live-id list of the previous generation with the
-// net per-id effect of one committed write (last operation wins), returning
-// the new sorted list. Runs in O(|prev| + |delta| log |delta|), map-free:
-// a stable sort groups the delta by id while preserving arrival order
-// within a group, so each group's last entry IS the net effect (ins-then-del
-// nets to dead, del-then-ins to live, replace to live) and the merge walks
-// two sorted lists.
-func nextIDs(prev []int, delta []idDelta) []int {
-	if len(delta) == 0 {
-		return prev
-	}
-	net := make([]idDelta, len(delta))
-	copy(net, delta)
-	sort.SliceStable(net, func(i, j int) bool { return net[i].id < net[j].id })
-	w := 0
-	for i := range net {
-		if i+1 < len(net) && net[i+1].id == net[i].id {
-			continue // a later op on the same id supersedes this one
-		}
-		net[w] = net[i]
-		w++
-	}
-	net = net[:w]
-	out := make([]int, 0, len(prev)+len(net))
-	i, j := 0, 0
-	for i < len(prev) || j < len(net) {
-		switch {
-		case j == len(net) || (i < len(prev) && prev[i] < net[j].id):
-			out = append(out, prev[i])
-			i++
-		case i == len(prev) || net[j].id < prev[i]:
-			if net[j].live {
-				out = append(out, net[j].id)
-			}
-			j++
-		default: // same id in both: the delta decides
-			if net[j].live {
-				out = append(out, net[j].id)
-			}
-			i++
-			j++
-		}
-	}
-	return out
 }

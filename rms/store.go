@@ -20,16 +20,18 @@ import (
 //
 // A server typically runs one ingestion goroutine applying batches and any
 // number of query goroutines; none of the query goroutines are ever blocked
-// by ingestion (writes only append to the shared arenas and publish, see
-// kdtree.View for the copy-on-write contract underneath).
+// by ingestion. A write never changes index memory a published generation
+// reads: it clones the tuple-index pages it touches and publishes a view
+// that shares every other page, so a commit costs the pages it touched plus
+// the page-table copies, not the database (see kdtree.View for the
+// copy-on-write contract underneath).
 type Store struct {
 	// wmu serializes writers only. No read path acquires it.
 	wmu sync.Mutex
 	d   *Dynamic                   // engine mutations serialize on wmu; guarded by wmu
 	gen atomic.Pointer[Generation] // published only by publishLocked; loads are lock-free
 
-	ops    []topk.Op // per-write batch conversion scratch; guarded by wmu
-	deltas []idDelta // per-write membership delta scratch; guarded by wmu
+	ops []topk.Op // per-write batch conversion scratch; guarded by wmu
 
 	// tel, when set, receives each commit's counter deltas and every read's
 	// latency (see SetTelemetry in telemetry.go). Atomic so lock-free readers can pick it
@@ -52,33 +54,17 @@ func NewStore(dim int, initial []Point, opts Options) (*Store, error) {
 // afterwards.
 func NewStoreFrom(d *Dynamic) *Store {
 	s := &Store{d: d}
-	s.publishLocked(0, nil)
+	s.publishLocked(0)
 	return s
 }
 
 // publishLocked captures the post-write state as generation prev+1 and
-// publishes it; wmu must be held (or the store not yet shared). delta is the
-// write's net membership change, merged into the previous generation's
-// sorted id list — O(n) per commit only in the merge and the index view,
-// never a map rebuild.
-func (s *Store) publishLocked(prevID uint64, delta []idDelta) {
+// publishes it; wmu must be held (or the store not yet shared). The cost is
+// the answer copy, O(r), plus the index view's page-table copies: the
+// membership, Len and Contains, come from the view's id table, whose pages
+// the commit's own writes already copied.
+func (s *Store) publishLocked(prevID uint64) {
 	fz := s.d.f.Freeze()
-	var prevIDs []int
-	if prev := s.gen.Load(); prev != nil {
-		prevIDs = prev.ids
-	} else {
-		delta = nil // initial publish: take the full list below
-	}
-	ids := nextIDs(prevIDs, delta)
-	if len(ids) != s.d.Len() || s.gen.Load() == nil {
-		// Defensive resync (or the initial publish): rebuild the membership
-		// from the engine. len(ids) != Len can only mean the delta drifted
-		// from what the engine actually applied.
-		ids = make([]int, 0, s.d.Len())
-		for _, p := range s.d.f.Points() {
-			ids = append(ids, p.ID)
-		}
-	}
 	result := make([]Point, len(fz.Result))
 	for i, p := range fz.Result {
 		vals := make([]float64, len(p.Coords))
@@ -88,7 +74,6 @@ func (s *Store) publishLocked(prevID uint64, delta []idDelta) {
 	s.gen.Store(&Generation{
 		id:     prevID + 1,
 		result: result,
-		ids:    ids,
 		stats:  fz.Stats,
 		k:      fz.K,
 		dim:    s.d.dim,
@@ -155,9 +140,8 @@ func (s *Store) ApplyReplicated(ops []topk.Op) {
 }
 
 // commitLocked is where every write ends: it applies ops to the engine,
-// folds their net membership change into the next generation, publishes it,
-// and records the batch trace; wmu must be held. An empty ops publishes
-// nothing.
+// publishes the next generation, and records the batch trace; wmu must be
+// held. An empty ops publishes nothing.
 func (s *Store) commitLocked(ops []topk.Op) {
 	if len(ops) == 0 {
 		return
@@ -165,17 +149,13 @@ func (s *Store) commitLocked(ops []topk.Op) {
 	ts := s.traceBegin()
 	prev := s.gen.Load().id
 	s.d.f.ApplyBatch(ops)
-	s.deltas = s.deltas[:0]
+	s.publishLocked(prev)
 	dels := 0
 	for _, op := range ops {
 		if op.Delete {
-			s.deltas = append(s.deltas, idDelta{id: op.ID, live: false})
 			dels++
-		} else {
-			s.deltas = append(s.deltas, idDelta{id: op.Point.ID, live: true})
 		}
 	}
-	s.publishLocked(prev, s.deltas)
 	s.traceEnd(ts, len(ops)-dels, dels)
 }
 

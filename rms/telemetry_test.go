@@ -157,33 +157,43 @@ func TestGenerationReadsAllocNothingExtraWithTelemetry(t *testing.T) {
 }
 
 // A commit allocates the same with telemetry attached as without: the
-// per-commit publish reads plain counters into preallocated handles.
+// per-commit publish reads plain counters into preallocated handles. A
+// commit's allocations follow the tuple-index pages it touches, which vary
+// from one commit to the next, so twin stores take the identical commit
+// sequence, one with telemetry attached and one without. The same history
+// builds the same tree in both, and at this size the id table is one page,
+// so the twins clone the same pages.
 func TestCommitAllocsNothingExtraWithTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	d := 3
-	store, err := rms.NewStore(d, randomTuples(rng, 200, d, 0), rms.Options{K: 1, R: 5, Epsilon: 0.05, MaxUtilities: 64, Seed: 7, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	// Every commit inserts one of two spare tuples and deletes the other,
-	// so each measured commit does the same work.
+	initial := randomTuples(rng, 200, d, 0)
+	// Every commit inserts one of two spare tuples and deletes the other.
 	spare := randomTuples(rng, 2, d, 1000)
-	if err := store.Insert(spare[0]); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	commit := func() {
-		in, out := spare[(i+1)%2], spare[i%2]
-		i++
-		if err := store.ApplyBatch([]rms.Update{rms.Ins(in), rms.Del(out.ID)}); err != nil {
+	twin := func() (*rms.Store, func()) {
+		store, err := rms.NewStore(d, initial, rms.Options{K: 1, R: 5, Epsilon: 0.05, MaxUtilities: 64, Seed: 7, Shards: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := store.Insert(spare[0]); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		return store, func() {
+			in, out := spare[(i+1)%2], spare[i%2]
+			i++
+			if err := store.ApplyBatch([]rms.Update{rms.Ins(in), rms.Del(out.ID)}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	plain, plainCommit := twin()
+	defer plain.Close()
+	traced, tracedCommit := twin()
+	defer traced.Close()
+	traced.SetTelemetry(rms.NewTelemetry(obs.NewRegistry()))
 	const runs = 100
-	without := testing.AllocsPerRun(runs, commit)
-	store.SetTelemetry(rms.NewTelemetry(obs.NewRegistry()))
-	if with := testing.AllocsPerRun(runs, commit); with != without {
+	without := testing.AllocsPerRun(runs, plainCommit)
+	if with := testing.AllocsPerRun(runs, tracedCommit); with != without {
 		t.Errorf("%v allocs per commit with telemetry, %v without", with, without)
 	}
 }
