@@ -149,7 +149,11 @@ func main() {
 	}
 
 	if *sky {
-		for _, p := range rms.Skyline(pts) {
+		sky, err := rms.Skyline(pts, ds.Dim)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		for _, p := range sky {
 			printPoint(p)
 		}
 		return
@@ -210,7 +214,10 @@ func main() {
 		printPoint(p)
 	}
 	if *mrr {
-		v := rms.MaxRegretRatio(pts, result, ds.Dim, *k, *samples, *seed)
+		v, err := rms.MaxRegretRatio(pts, result, ds.Dim, *k, *samples, *seed)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		fmt.Fprintf(os.Stderr, "rmscli: estimated maximum %d-regret ratio: %.4f (%d samples)\n", *k, v, *samples)
 	}
 }

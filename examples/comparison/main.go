@@ -46,7 +46,11 @@ func main() {
 		}
 	}
 	dynTotal := time.Since(start)
-	dynMRR := rms.MaxRegretRatio(pts, d.Result(), dim, 1, 50000, 9)
+	dynMRR, err := rms.MaxRegretRatio(pts, d.Result(), dim, 1, 50000, 9)
+	if err != nil {
+		fmt.Println("regret error:", err)
+		return
+	}
 
 	fmt.Printf("database: %d tuples, %d attributes; r = %d, k = 1\n", n, dim, r)
 	fmt.Printf("%-12s %14s %14s %8s\n", "algorithm", "total-time", "per-insert", "mrr")
@@ -64,7 +68,11 @@ func main() {
 			continue
 		}
 		dt := time.Since(start)
-		mrr := rms.MaxRegretRatio(pts, q, dim, 1, 50000, 9)
+		mrr, err := rms.MaxRegretRatio(pts, q, dim, 1, 50000, 9)
+		if err != nil {
+			fmt.Printf("%-12s regret error: %v\n", name, err)
+			continue
+		}
 		fmt.Printf("%-12s %14v %14s %8.4f   (one from-scratch run)\n",
 			name, dt.Round(time.Microsecond), "-", mrr)
 	}

@@ -34,7 +34,10 @@ func main() {
 	}
 	report := func(stage string, P []rms.Point) {
 		res := d.Result()
-		mrr := rms.MaxRegretRatio(P, res, 2, 1, 20000, 1)
+		mrr, err := rms.MaxRegretRatio(P, res, 2, 1, 20000, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-22s result=%v  max 1-regret ratio=%.4f\n", stage, ids(res), mrr)
 	}
 	report("initial (Fig. 3b)", db)
@@ -55,7 +58,11 @@ func main() {
 	report("after deleting p1", db)
 
 	// The skyline for reference: every answer is drawn from it.
-	fmt.Printf("%-22s %v\n", "skyline", ids(rms.Skyline(db)))
+	sky, err := rms.Skyline(db, 2)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%-22s %v\n", "skyline", ids(sky))
 }
 
 func ids(ps []rms.Point) []int {

@@ -23,7 +23,10 @@
 // (idIndex) answers Contains and PointByID and lives in pages of its own.
 // Taking a View copies the two page tables and advances the tree's
 // generation; the writer clones an older page the first time it writes to
-// it, so a commit copies the pages it touched, not the tree. The
+// it, so a commit copies the pages it touched, not the tree. A node page's
+// boxMax array carries a generation of its own and is cloned only when a
+// row of it is written, so a tombstone, which rewrites counts and epochs
+// but never a bound, copies node records alone. The
 // branch-and-bound frontier and the result ranking use typed inline heaps
 // backed by caller-owned QueryScratch buffers (see scratch.go): a warmed-up
 // TopKInto/AtLeastInto query performs zero allocations.
@@ -147,7 +150,7 @@ func (t *Tree) growArena(n int) {
 func (t *Tree) pushNode(r rec, axis int) int32 {
 	idx := int32(len(t.pts))
 	if int(idx>>pageShift) == len(t.pages) {
-		t.pages = append(t.pages, &page{boxMax: make([]float64, pageLen*t.dim), gen: t.gen})
+		t.pages = append(t.pages, &page{boxMax: make([]float64, pageLen*t.dim), boxGen: t.gen, gen: t.gen})
 	}
 	*t.nodeW(idx) = node{
 		left: nilNode, right: nilNode, axis: int32(axis),
@@ -370,14 +373,16 @@ func (t *Tree) insertAt(idx int32, p geom.Point, ins uint64) {
 		pg := t.ownPage(idx)
 		n := &pg.nodes[idx&pageMask]
 		n.liveCount++
-		base := int(idx) * d
-		bmin, bmax := t.boxMin[base:base+d], pg.boxMax[int(idx&pageMask)*d:][:d]
+		base, off := int(idx)*d, int(idx&pageMask)*d
+		bmin := t.boxMin[base : base+d]
 		for i := 0; i < d; i++ {
 			if p.Coords[i] < bmin[i] {
 				bmin[i] = p.Coords[i]
 			}
-			if p.Coords[i] > bmax[i] {
-				bmax[i] = p.Coords[i]
+			if p.Coords[i] > pg.boxMax[off+i] {
+				// The first raised maximum clones a shared boxMax array.
+				t.ownBoxMax(pg)
+				pg.boxMax[off+i] = p.Coords[i]
 			}
 		}
 		axis := int(n.axis)

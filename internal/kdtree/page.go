@@ -25,10 +25,16 @@ const (
 // nodes[i]). gen is the tree generation that created the page: a page whose
 // gen is older than the tree's was created before the newest View and may be
 // shared with it, so the writer clones it before the first write (see
-// Tree.ownPage). boxMax comes first so the collector scans only the slice
+// Tree.ownPage). The boxMax array has a generation of its own, boxGen: a
+// page clone copies the node records but keeps sharing the array, which the
+// writer clones only when it writes a row (Tree.ownBoxMax). Tombstones and
+// most inserts along a path never raise a box maximum, so most clones copy
+// no bounds. boxGen <= gen, and a page whose gen is older than the tree's
+// has both older. boxMax comes first so the collector scans only the slice
 // header, not the pointer-free node array.
 type page struct {
 	boxMax []float64
+	boxGen uint64
 	gen    uint64
 	nodes  [pageLen]node
 }
@@ -45,15 +51,28 @@ func (a *arena) boxMaxRow(idx int32) []float64 {
 }
 
 // ownPage returns the page holding slot idx, first replacing it with a
-// private clone when a View may share it. Pointers into the page obtained
-// before the call may point into the shared original afterwards.
+// private clone of its node records when a View may share it; the clone
+// still shares the boxMax array (see ownBoxMax). Pointers into the page
+// obtained before the call may point into the shared original afterwards.
 func (t *Tree) ownPage(idx int32) *page {
 	pg := t.pages[idx>>pageShift]
 	if pg.gen != t.gen {
-		pg = &page{boxMax: slices.Clone(pg.boxMax), gen: t.gen, nodes: pg.nodes}
+		c := *pg
+		c.gen = t.gen
+		pg = &c
 		t.pages[idx>>pageShift] = pg
 	}
 	return pg
+}
+
+// ownBoxMax gives pg, a page the writer owns, a private boxMax array when a
+// View may share the current one. Rows obtained before the call may point
+// into the shared original afterwards.
+func (t *Tree) ownBoxMax(pg *page) {
+	if pg.boxGen != t.gen {
+		pg.boxMax = slices.Clone(pg.boxMax)
+		pg.boxGen = t.gen
+	}
 }
 
 // nodeW returns slot idx's record for writing.
@@ -63,8 +82,10 @@ func (t *Tree) nodeW(idx int32) *node {
 
 // boxMaxW returns slot idx's boxMax row for writing.
 func (t *Tree) boxMaxW(idx int32) []float64 {
+	pg := t.ownPage(idx)
+	t.ownBoxMax(pg)
 	off := int(idx&pageMask) * t.dim
-	return t.ownPage(idx).boxMax[off : off+t.dim]
+	return pg.boxMax[off : off+t.dim]
 }
 
 // idIndex maps each live id to its arena slot: an open-addressing table

@@ -20,7 +20,10 @@ import (
 // table's page table, both O(n/pageLen) pointers, and advances the tree's
 // generation, which marks every current page shared in O(1). The writer
 // clones a shared page the first time it writes to it (Tree.ownPage,
-// idIndex.own), so each later commit copies only the pages it touches. The
+// idIndex.own), so each later commit copies only the pages it touches; a
+// node page's boxMax array is cloned separately, on the first write of a
+// row (Tree.ownBoxMax), so pages that only tombstones touch keep sharing
+// their bounds with the view. The
 // point payload and flat coordinate arrays are append-only between rebuilds:
 // the view reads only its frozen prefix, so concurrent appends past that
 // prefix are race-free, and a rebuild while a view is outstanding moves

@@ -150,6 +150,100 @@ func sharedPages(tr *Tree) int {
 	return n
 }
 
+// A page clone copies node records, not bounds: after View(), a batch of
+// tombstones leaves every page's boxMax array shared with the view, and an
+// insert gives a private array to exactly the pages whose rows it writes —
+// the ancestors whose box it extends and the page of its new node — while
+// the view keeps answering for its own epoch.
+func TestViewBoxMaxClonedOnWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const d = 3
+	live := randomPoints(rng, 2000, d)
+	tr := New(d, live)
+	v := tr.View()
+	for id := 0; id < 300; id += 3 {
+		tr.Delete(id)
+	}
+	if got := privateBoxMax(tr, v); len(got) != 0 {
+		t.Fatalf("tombstones cloned the boxMax arrays of pages %v", got)
+	}
+	if sharedPages(tr) == len(tr.pages)+len(tr.ids.pages) {
+		t.Fatal("tombstones cloned no page: the batch wrote nothing")
+	}
+	live = slices.DeleteFunc(live, func(q geom.Point) bool { return q.ID < 300 && q.ID%3 == 0 })
+
+	sharedBounds := 0 // pages an insert cloned without writing their bounds
+	for i, p := range randomPoints(rng, 40, d) {
+		p.ID = 5000 + i
+		v = tr.View()
+		before := len(tr.pts)
+		tr.Insert(p)
+		// Rows the insert raised differ from the view's copy; the new node
+		// was written whole.
+		want := map[int]bool{before >> pageShift: true}
+		for idx := int32(0); int(idx) < before; idx++ {
+			if !slices.Equal(tr.boxMaxRow(idx), v.boxMaxRow(idx)) {
+				want[int(idx>>pageShift)] = true
+			}
+		}
+		got := privateBoxMax(tr, v)
+		if before>>pageShift == len(v.pages) {
+			got = append(got, before>>pageShift) // a fresh tail page
+		}
+		if len(got) != len(want) || len(want) >= len(v.pages) {
+			t.Fatalf("insert %d: pages %v own their boxMax, want exactly %v", i, got, want)
+		}
+		for _, pg := range got {
+			if !want[pg] {
+				t.Fatalf("insert %d: pages %v own their boxMax, want exactly %v", i, got, want)
+			}
+		}
+		for pg := range v.pages {
+			if tr.pages[pg].gen == tr.gen && !want[pg] {
+				sharedBounds++
+			}
+		}
+		var sc QueryScratch
+		for _, u := range geom.BasisThenRandom(d, 6, int64(i)) {
+			if got, want := v.TopKInto(u, 5, &sc), bruteTopK(live, u, 5); !sameResults(got, want) {
+				t.Fatalf("insert %d: view TopK %v, want %v", i, got, want)
+			}
+			tau := bruteTopK(live, u, 40)[39].Score
+			gotIDs := make([]int, 0, 40)
+			for _, r := range v.AtLeastInto(u, tau, &sc) {
+				gotIDs = append(gotIDs, r.Point.ID)
+			}
+			slices.Sort(gotIDs)
+			var wantIDs []int
+			for _, q := range live {
+				if geom.Score(u, q) >= tau {
+					wantIDs = append(wantIDs, q.ID)
+				}
+			}
+			slices.Sort(wantIDs)
+			if !slices.Equal(gotIDs, wantIDs) {
+				t.Fatalf("insert %d: view AtLeast %v, want %v", i, gotIDs, wantIDs)
+			}
+		}
+		live = append(live, p)
+	}
+	if sharedBounds == 0 {
+		t.Fatal("no insert cloned a page whose bounds it left alone")
+	}
+}
+
+// privateBoxMax lists the pages of v whose boxMax array the tree no longer
+// shares with it.
+func privateBoxMax(tr *Tree, v *View) []int {
+	var out []int
+	for i, pg := range v.pages {
+		if &tr.pages[i].boxMax[0] != &pg.boxMax[0] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // The deferred rebuild at EndRetain must also copy-on-write when a view is
 // outstanding.
 func TestViewSurvivesRetainWindowRebuild(t *testing.T) {

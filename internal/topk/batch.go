@@ -544,7 +544,7 @@ func (e *Engine) insertWorker(sh *shard, run []insOp, tasks []insTask, res *shar
 
 		// p joins Φ(u): it scored >= oldThresh, and if the threshold rose, p
 		// is in the new top-k so it clears the new one as well.
-		st.phi[p.ID] = s
+		st.phi.add(p.ID, s)
 		sh.addToSet(p.ID, t.uid)
 		res.changes = append(res.changes, taggedChange{t.pos, Change{UtilityID: t.uid, PointID: p.ID, Added: true}})
 
@@ -553,12 +553,13 @@ func (e *Engine) insertWorker(sh *shard, run []insOp, tasks []insTask, res *shar
 		// visits only the utilities whose Φ holds the tuple) never leaves a
 		// dead tuple buffered.
 		if newThresh > oldThresh {
-			//fdrms:orderinvariant each pid is visited once and evicted iff score < newThresh (a per-entry predicate); the emitted changes are re-sorted by (pos, utility, point) at the end of this worker before any caller sees them
-			for pid, score := range st.phi {
-				if score < newThresh {
-					delete(st.phi, pid)
-					sh.removeFromSet(pid, t.uid)
-					res.changes = append(res.changes, taggedChange{t.pos, Change{UtilityID: t.uid, PointID: pid, Added: false}})
+			// Walk Φ backwards: removeAt fills the hole at i with the last
+			// entry, which the walk has already kept.
+			for i := st.phi.len() - 1; i >= 0; i-- {
+				if m := st.phi.ents[i]; m.Score < newThresh {
+					st.phi.removeAt(i)
+					sh.removeFromSet(m.PointID, t.uid)
+					res.changes = append(res.changes, taggedChange{t.pos, Change{UtilityID: t.uid, PointID: m.PointID, Added: false}})
 				}
 			}
 			st.topk = clampTail(st.topk, e.k, newThresh)
@@ -569,8 +570,8 @@ func (e *Engine) insertWorker(sh *shard, run []insOp, tasks []insTask, res *shar
 	// emit phase is a pure k-way merge of pre-sorted lanes, so this sort
 	// (the only O(n log n) step) runs in parallel inside the workers instead
 	// of serialized in the merge. Task order is pos-major but uids within a
-	// position follow cone-tree probe order, and map-order eviction entries
-	// need sorting anyway.
+	// position follow cone-tree probe order, and eviction entries follow
+	// Φ's storage order.
 	sortTagged(res.changes)
 }
 
@@ -596,14 +597,14 @@ func (e *Engine) deleteWorker(sh *shard, run []Op, base uint64, runPos map[int]i
 			var pos int
 			pos, pending = popPos(pending)
 			op := run[pos]
-			if _, in := st.phi[op.ID]; !in {
+			if !st.phi.has(op.ID) {
 				continue // defensive: queued candidates are always members
 			}
 			if e.snap.armed {
 				sh.snapTouch(t.uid, st) // preserve the pre-image for the armed capture
 			}
 			res.processed++
-			delete(st.phi, op.ID)
+			st.phi.remove(op.ID)
 			sh.removeFromSet(op.ID, t.uid)
 			res.changes = append(res.changes, taggedChange{pos, Change{UtilityID: t.uid, PointID: op.ID, Added: false}})
 
@@ -624,7 +625,7 @@ func (e *Engine) deleteWorker(sh *shard, run []Op, base uint64, runPos map[int]i
 				// state the sequential path would.
 				asOf := base + uint64(pos) + 1
 				if len(st.topk) < e.k {
-					if len(st.phi) >= e.k {
+					if st.phi.len() >= e.k {
 						st.topk = e.topKFromPhi(st, asOf, st.topk[:0])
 					} else {
 						res.requeries++
@@ -639,8 +640,7 @@ func (e *Engine) deleteWorker(sh *shard, run []Op, base uint64, runPos map[int]i
 					// ω_k dropped: admit every tuple now clearing the
 					// threshold.
 					for _, r := range e.tree.AtLeastAtInto(st.u, newThresh, asOf, &sh.qs) {
-						if _, in := st.phi[r.Point.ID]; !in {
-							st.phi[r.Point.ID] = r.Score
+						if st.phi.add(r.Point.ID, r.Score) {
 							sh.addToSet(r.Point.ID, t.uid)
 							res.changes = append(res.changes, taggedChange{pos, Change{UtilityID: t.uid, PointID: r.Point.ID, Added: true}})
 							if dp, ok := runPos[r.Point.ID]; ok && dp > pos {

@@ -1,13 +1,18 @@
 package topk
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"fdrms/internal/dataset"
 	"fdrms/internal/geom"
+	"fdrms/internal/kdtree"
 )
 
 // randomOps builds a mixed operation stream over an engine seeded with pts:
@@ -347,4 +352,160 @@ func TestApplyBatchChangeReplay(t *testing.T) {
 	if got := e.ApplyBatch([]Op{DeleteOp(987654), DeleteOp(987655)}); got != nil {
 		t.Fatalf("missing deletes produced changes: %v", got)
 	}
+}
+
+// On clipped AntiCor data every tuple clipped to 1.0 on an axis ties at the
+// top of that axis's basis utility, so the basis utilities hold large Φs
+// whose runner-up buffers keep the smallest tied ids — the ids a sliding
+// window deletes first. A stream of fresh inserts plus deletes of the
+// oldest ids therefore drains those buffers again and again, and each
+// drain refills the buffer from Φ. After every batch, each utility's Φ,
+// its buffer and the emitted changes must equal a 1-shard sequential
+// twin's and a brute-force recomputation; batches of 128 run the delete
+// fan-out on the worker pool.
+func TestApplyBatchTiedTopSlidingDrain(t *testing.T) {
+	const n, m, steps, eps = 2000, 24, 384, 0.01
+	for _, d := range []int{3, 4} {
+		pts := dataset.AntiCor(n+steps, d, int64(d)).Points // point i has id i
+		utils := make([]Utility, m)
+		scores := make([][]float64, m) // scores[u][id]
+		for i, u := range geom.BasisThenRandom(d, m, int64(d)) {
+			utils[i] = Utility{ID: i, U: u}
+			scores[i] = make([]float64, len(pts))
+			for id, p := range pts {
+				scores[i][id] = geom.Score(u, p)
+			}
+		}
+		// The premise: basis utility 0 ties more than two buffers' worth
+		// of the tuples the window deletes at its top score.
+		if tied := bruteRanking(scores[0], pts, 0, n, 1, 0); len(tied) < 24 || tied[23].Point.ID >= steps {
+			t.Fatalf("d=%d: basis utility 0 ties %d tuples at its top, too few among the %d oldest", d, len(tied), steps)
+		}
+		for _, k := range []int{1, 2} {
+			for _, batch := range []int{1, 8, 128} {
+				checkTiedSlidingDrain(t, pts, utils, scores, n, steps, d, k, batch, eps)
+			}
+		}
+	}
+}
+
+// checkTiedSlidingDrain runs one configuration of
+// TestApplyBatchTiedTopSlidingDrain: the engine starts on pts[:n], and each
+// batch inserts the next batch tuples of pts and deletes the batch oldest
+// live ids.
+func checkTiedSlidingDrain(t *testing.T, pts []geom.Point, utils []Utility, scores [][]float64, n, steps, d, k, batch int, eps float64) {
+	t.Helper()
+	batched := NewEngineShards(d, k, eps, pts[:n], utils, 4)
+	defer batched.Close()
+	sequential := NewEngineShards(d, k, eps, pts[:n], utils, 1)
+	defer sequential.Close()
+	members := make([]map[int]bool, len(utils)) // Φ replayed from the emitted changes
+	for i, ut := range utils {
+		members[i] = make(map[int]bool)
+		for _, pid := range membersSnapshot(batched, utils[i:i+1])[ut.ID] {
+			members[i][pid] = true
+		}
+	}
+	for step := 0; step < steps; step += batch {
+		var ops []Op
+		for _, p := range pts[n+step : n+step+batch] {
+			ops = append(ops, InsertOp(p))
+		}
+		for id := step; id < step+batch; id++ {
+			ops = append(ops, DeleteOp(id))
+		}
+		got := collectGroups(batched, ops, len(ops))
+		var want []opGroup
+		for _, op := range ops {
+			sequential.ApplyBatchFunc([]Op{op}, func(o Op, ch []Change) { want = append(want, opGroup{o, ch}) })
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("d=%d k=%d batch=%d step %d: change groups diverge from the sequential twin", d, k, batch, step)
+		}
+		for _, g := range got {
+			for _, c := range g.changes {
+				if members[c.UtilityID][c.PointID] == c.Added {
+					t.Fatalf("d=%d k=%d batch=%d step %d: change %+v does not apply to the replayed Φ", d, k, batch, step, c)
+				}
+				if c.Added {
+					members[c.UtilityID][c.PointID] = true
+				} else {
+					delete(members[c.UtilityID], c.PointID)
+				}
+			}
+		}
+		for i, ut := range utils {
+			phi := bruteRanking(scores[i], pts, step+batch, n+step+batch, k, eps)
+			for _, e := range []*Engine{batched, sequential} {
+				st, got := e.stateOf(ut.ID), e.Members(ut.ID)
+				if len(got) != len(phi) || len(members[i]) != len(phi) {
+					t.Fatalf("d=%d k=%d batch=%d step %d u%d: |Φ| = %d, replayed %d, brute force %d", d, k, batch, step, ut.ID, len(got), len(members[i]), len(phi))
+				}
+				for _, r := range phi {
+					if s, ok := got[r.Point.ID]; !ok || s != r.Score || !members[i][r.Point.ID] {
+						t.Fatalf("d=%d k=%d batch=%d step %d u%d: member %d (score %v) missing or rescored", d, k, batch, step, ut.ID, r.Point.ID, r.Score)
+					}
+				}
+				// The buffer is the top min(L, |Φ|) of Φ for its current
+				// length L, which never falls below k.
+				if len(st.topk) < min(k, len(phi)) || len(st.topk) > min(e.maxTopK(), len(phi)) ||
+					!slices.EqualFunc(st.topk, phi[:len(st.topk)], sameResult) {
+					t.Fatalf("d=%d k=%d batch=%d step %d u%d: buffer %v, want a prefix of %v", d, k, batch, step, ut.ID, resultIDs(st.topk), resultIDs(phi[:min(len(phi), e.maxTopK())]))
+				}
+			}
+			if !slices.EqualFunc(batched.stateOf(ut.ID).topk, sequential.stateOf(ut.ID).topk, sameResult) {
+				t.Fatalf("d=%d k=%d batch=%d step %d u%d: buffer differs from the sequential twin's", d, k, batch, step, ut.ID)
+			}
+		}
+	}
+	if batch == 128 && batched.ParallelRuns == 0 {
+		t.Fatalf("d=%d k=%d: no run of 128 went through the worker pool", d, k)
+	}
+	a, b := batched.Counters, sequential.Counters
+	if a.AffectedTotal != b.AffectedTotal || a.Requeries != b.Requeries || a.Promotions != b.Promotions || a.Changes != b.Changes {
+		t.Fatalf("d=%d k=%d batch=%d: counters %+v, sequential twin %+v", d, k, batch, a, b)
+	}
+}
+
+// bruteRanking returns Φ_{k,ε} over the tuples pts[lo:hi] by linear scan
+// of their precomputed scores (score[i] belongs to pts[i]), ordered by
+// score descending, then id ascending.
+func bruteRanking(score []float64, pts []geom.Point, lo, hi, k int, eps float64) []kdtree.Result {
+	top := make([]float64, 0, k+1) // the k best scores, descending
+	for _, s := range score[lo:hi] {
+		if len(top) < k || s > top[k-1] {
+			j := len(top)
+			for j > 0 && top[j-1] < s {
+				j--
+			}
+			top = slices.Insert(top, j, s)[:min(len(top)+1, k)]
+		}
+	}
+	tau := math.Inf(-1)
+	if len(top) == k {
+		tau = (1 - eps) * top[k-1]
+	}
+	var phi []kdtree.Result
+	for i := lo; i < hi; i++ {
+		if score[i] >= tau {
+			phi = append(phi, kdtree.Result{Point: pts[i], Score: score[i]})
+		}
+	}
+	slices.SortFunc(phi, func(a, b kdtree.Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Point.ID, b.Point.ID)
+	})
+	return phi
+}
+
+func sameResult(a, b kdtree.Result) bool { return a.Point.ID == b.Point.ID && a.Score == b.Score }
+
+func resultIDs(rs []kdtree.Result) []int {
+	ids := make([]int, len(rs))
+	for i, r := range rs {
+		ids[i] = r.Point.ID
+	}
+	return ids
 }

@@ -88,12 +88,8 @@ func (e *Engine) Snapshot() *EngineSnapshot {
 			st := sh.state(uid)
 			us := UtilityState{
 				ID:   uid,
-				Phi:  make([]PhiEntry, 0, len(st.phi)),
+				Phi:  append(make([]PhiEntry, 0, st.phi.len()), st.phi.ents...),
 				TopK: make([]int, len(st.topk)),
-			}
-			//fdrms:orderinvariant pid keys are unique and us.Phi is sorted by PointID on the line after the loop
-			for pid, score := range st.phi {
-				us.Phi = append(us.Phi, PhiEntry{PointID: pid, Score: score})
 			}
 			sort.Slice(us.Phi, func(i, j int) bool { return us.Phi[i].PointID < us.Phi[j].PointID })
 			for i, r := range st.topk {
@@ -167,16 +163,15 @@ func RestoreEngine(s *EngineSnapshot, utilities []Utility, nshards int) (*Engine
 		if !ok {
 			return nil, fmt.Errorf("topk: no vector for snapshot utility %d", us.ID)
 		}
-		st := uState{u: u, phi: make(map[int]float64, len(us.Phi))}
+		st := uState{u: u, phi: newPhiSet(len(us.Phi))}
 		for _, pe := range us.Phi {
-			st.phi[pe.PointID] = pe.Score
-		}
-		if len(st.phi) != len(us.Phi) {
-			return nil, fmt.Errorf("topk: utility %d: duplicate Φ member", us.ID)
+			if !st.phi.add(pe.PointID, pe.Score) {
+				return nil, fmt.Errorf("topk: utility %d: duplicate Φ member", us.ID)
+			}
 		}
 		st.topk = make([]kdtree.Result, len(us.TopK))
 		for i, pid := range us.TopK {
-			score, member := st.phi[pid]
+			score, member := st.phi.score(pid)
 			if !member {
 				return nil, fmt.Errorf("topk: utility %d: buffered tuple %d outside Φ", us.ID, pid)
 			}

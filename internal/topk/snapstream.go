@@ -38,7 +38,7 @@ import (
 )
 
 // snapCapture is the deep-copied arm-point maintenance state of one
-// utility. Phi is in map-iteration order until FinishSnapshot sorts it.
+// utility. Phi is in Φ's storage order until FinishSnapshot sorts it.
 type snapCapture struct {
 	phi  []PhiEntry
 	topk []int // runner-up buffer ids, buffer order
@@ -63,12 +63,8 @@ type snapSession struct {
 // captureState deep-copies one utility's maintenance state.
 func captureState(st *uState) snapCapture {
 	c := snapCapture{
-		phi:  make([]PhiEntry, 0, len(st.phi)),
+		phi:  append(make([]PhiEntry, 0, st.phi.len()), st.phi.ents...),
 		topk: make([]int, len(st.topk)),
-	}
-	//fdrms:orderinvariant pid keys are unique and the entries are sorted by PointID in FinishSnapshot before the snapshot is observable
-	for pid, score := range st.phi {
-		c.phi = append(c.phi, PhiEntry{PointID: pid, Score: score})
 	}
 	for i, r := range st.topk {
 		c.topk[i] = r.Point.ID

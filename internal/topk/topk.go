@@ -6,7 +6,10 @@
 // queries on the current database; the utility index (a cone tree, package
 // conetree) finds which utilities an inserted tuple can affect. For each
 // utility the engine stores the exact top-k list and the approximate member
-// set, and uses the fast paths described in the paper:
+// set — a dense slice of (id, score) entries with an id → slot index, so
+// the whole-Φ scans (a buffer rebuild from Φ, the evictions after a
+// threshold rise) read contiguous memory — and uses the fast paths
+// described in the paper:
 //
 //   - an inserted tuple scoring below (1-ε)·ω_k is pruned inside the cone
 //     tree and costs nothing for that utility;
@@ -74,10 +77,78 @@ type Change struct {
 // exactly the utilities whose Φ contains the tuple, never leaves a dead
 // tuple buffered), and every non-buffered live tuple ranks below the
 // buffer minimum (pairwise order is static, so this survives deletions).
+//
+// phi is Φ_{k,ε} as a dense member set (see phiSet). A buffer refill from Φ
+// scans every member, because Φ keeps no order: on clipped data a basis
+// utility ties thousands of tuples at its maximum score, and the refill
+// keeps the smallest ids among them, which a sliding window deletes first.
+// The scan walks one contiguous slice.
 type uState struct {
 	u    geom.Vector
 	topk []kdtree.Result // exact top-L prefix of the live ranking
-	phi  map[int]float64 // member id -> score (Φ_{k,ε})
+	phi  phiSet          // Φ_{k,ε}: member ids with their scores
+}
+
+// phiSet is a dense member set: ents holds the members in no meaningful
+// order and slot maps each member id to its index in ents. Removing a
+// member moves the last entry into its hole, so every scan reads one
+// contiguous slice, and nothing that reads ents depends on their order:
+// each reader applies a total order or sorts.
+type phiSet struct {
+	ents []PhiEntry
+	slot map[int]int32
+}
+
+func newPhiSet(n int) phiSet {
+	return phiSet{ents: make([]PhiEntry, 0, n), slot: make(map[int]int32, n)}
+}
+
+func (s *phiSet) len() int { return len(s.ents) }
+
+func (s *phiSet) has(id int) bool {
+	_, ok := s.slot[id]
+	return ok
+}
+
+// score returns a member's score; ok is false for a non-member.
+func (s *phiSet) score(id int) (score float64, ok bool) {
+	i, ok := s.slot[id]
+	if !ok {
+		return 0, false
+	}
+	return s.ents[i].Score, true
+}
+
+// add makes id a member with the given score unless it already is one; it
+// reports whether id was added.
+func (s *phiSet) add(id int, score float64) bool {
+	if _, ok := s.slot[id]; ok {
+		return false
+	}
+	s.slot[id] = int32(len(s.ents))
+	s.ents = append(s.ents, PhiEntry{PointID: id, Score: score})
+	return true
+}
+
+// remove deletes member id; it reports whether id was a member.
+func (s *phiSet) remove(id int) bool {
+	i, ok := s.slot[id]
+	if ok {
+		s.removeAt(int(i))
+	}
+	return ok
+}
+
+// removeAt deletes the member at ents[i], moving the last entry into its
+// place.
+func (s *phiSet) removeAt(i int) {
+	last := len(s.ents) - 1
+	delete(s.slot, s.ents[i].PointID)
+	if i != last {
+		s.ents[i] = s.ents[last]
+		s.slot[s.ents[i].PointID] = int32(i)
+	}
+	s.ents = s.ents[:last]
 }
 
 // shard owns the state of a contiguous-block partition of the utility IDs.
@@ -250,9 +321,8 @@ func NewEngineShards(dim, k int, eps float64, points []geom.Point, utilities []U
 			e.numUtils++
 		}
 		sh.put(ut.ID, st)
-		//fdrms:orderinvariant each pid is visited once and addToSet does a sorted insert into pid's own disjoint list; no cross-pid state exists
-		for pid := range st.phi {
-			sh.addToSet(pid, ut.ID)
+		for _, m := range st.phi.ents {
+			sh.addToSet(m.PointID, ut.ID)
 		}
 		items = append(items, conetree.Item{ID: ut.ID, U: ut.U, Threshold: e.thresholdOf(st.topk)})
 	}
@@ -279,13 +349,15 @@ func (e *Engine) maxTopK() int { return 2*e.k + 8 }
 
 // freshState queries the tuple index from scratch for one utility.
 func (e *Engine) freshState(u geom.Vector) uState {
-	st := uState{u: u, phi: make(map[int]float64)}
+	st := uState{u: u}
 	qs := &e.scratch.qs
 	res := e.tree.TopKInto(u, e.maxTopK(), qs)
 	st.topk = append(make([]kdtree.Result, 0, len(res)), res...)
 	tau := e.thresholdOf(st.topk)
-	for _, r := range e.tree.AtLeastInto(u, tau, qs) {
-		st.phi[r.Point.ID] = r.Score
+	members := e.tree.AtLeastInto(u, tau, qs)
+	st.phi = newPhiSet(len(members))
+	for _, r := range members {
+		st.phi.add(r.Point.ID, r.Score)
 	}
 	st.topk = clampTail(st.topk, e.k, tau) // buffer ⊆ Φ
 	return st
@@ -346,13 +418,18 @@ func (e *Engine) TreeView() *kdtree.View { return e.tree.View() }
 // Points returns all live tuples.
 func (e *Engine) Points() []geom.Point { return e.tree.Points() }
 
-// Members returns Φ_{k,ε}(u) for the utility as a set of point ids.
-// The returned map is live engine state: callers must not mutate it.
+// Members returns Φ_{k,ε}(u) for the utility as a fresh map from member id
+// to score, or nil for an unknown utility.
 func (e *Engine) Members(uid int) map[int]float64 {
-	if st := e.stateOf(uid); st != nil {
-		return st.phi
+	st := e.stateOf(uid)
+	if st == nil {
+		return nil
 	}
-	return nil
+	m := make(map[int]float64, st.phi.len())
+	for _, pe := range st.phi.ents {
+		m[pe.PointID] = pe.Score
+	}
+	return m
 }
 
 // SetOf returns S(p), the ids of utilities whose approximate top-k contains
@@ -431,20 +508,19 @@ func (e *Engine) Delete(id int) []Change {
 	return out
 }
 
-// topKFromPhi rebuilds the runner-up buffer from the membership map alone —
-// valid whenever |Φ| >= k, because every tuple scoring at least the
-// threshold is a member, so no outside tuple can beat a member and the
-// best min(|Φ|, maxTopK()) members ARE the live top-L. The result is
-// ordered by (score descending, point ID ascending) and independent of map
-// iteration order; buf (typically the old buffer, reused) backs the
-// output. Point data is resolved through the tuple index at the given
-// epoch, which inside a delete run still knows members that later
-// operations tombstone.
+// topKFromPhi rebuilds the runner-up buffer from Φ alone — valid whenever
+// |Φ| >= k, because every tuple scoring at least the threshold is a member,
+// so no outside tuple can beat a member and the best min(|Φ|, maxTopK())
+// members ARE the live top-L. The result is ordered by (score descending,
+// point ID ascending), so it does not depend on the order of Φ's entries;
+// buf (typically the old buffer, reused) backs the output. Point data is
+// resolved through the tuple index at the given epoch, which inside a
+// delete run still knows members that later operations tombstone.
 func (e *Engine) topKFromPhi(st *uState, asOf uint64, buf []kdtree.Result) []kdtree.Result {
 	out := buf[:0]
 	max := e.maxTopK()
-	//fdrms:orderinvariant top-k accumulation under the total order (score desc, id asc): the kept set is the best max elements of the candidate set, and the skip-when-full test only drops candidates strictly worse than the current kth — independent of visit order (see doc above)
-	for pid, score := range st.phi {
+	for _, m := range st.phi.ents {
+		pid, score := m.PointID, m.Score
 		if len(out) == max {
 			last := out[len(out)-1]
 			if score < last.Score || (score == last.Score && pid > last.Point.ID) {

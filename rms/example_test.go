@@ -53,15 +53,22 @@ func ExampleCompute() {
 }
 
 func ExampleSkyline() {
-	sky := rms.Skyline(paperDatabase())
+	sky, err := rms.Skyline(paperDatabase(), 2)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(ids(sky))
 	// Output: [1 2 3 4 7]
 }
 
 func ExampleExactMaxRegretRatio() {
 	p := paperDatabase()
+	sky, err := rms.Skyline(p, 2)
+	if err != nil {
+		panic(err)
+	}
 	// The full skyline leaves zero regret for every linear preference.
-	v, err := rms.ExactMaxRegretRatio(p, rms.Skyline(p))
+	v, err := rms.ExactMaxRegretRatio(p, sky)
 	if err != nil {
 		panic(err)
 	}

@@ -10,10 +10,10 @@ import (
 )
 
 // slidingCommits returns a store over n AntiCor tuples and a commit that
-// inserts one fresh AntiCor tuple and deletes the oldest live one — the
-// trickle workload's write — through Store.ApplyBatch, so each call pays
-// apply and publish.
-func slidingCommits(tb testing.TB, n, d int, opts rms.Options) (*rms.Store, func()) {
+// inserts batch fresh AntiCor tuples and deletes the batch oldest live
+// ones — the trickle (batch 1) and bulk (batch 128) workloads' write —
+// through Store.ApplyBatch, so each call pays apply and publish.
+func slidingCommits(tb testing.TB, n, d, batch int, opts rms.Options) (*rms.Store, func()) {
 	tb.Helper()
 	const spare = 4096 // insert values cycle through these, under fresh ids
 	ds := dataset.AntiCor(n+spare, d, 1)
@@ -26,13 +26,20 @@ func slidingCommits(tb testing.TB, n, d int, opts rms.Options) (*rms.Store, func
 		tb.Fatal(err)
 	}
 	next, oldest := n, 0
+	ups := make([]rms.Update, 0, 2*batch)
 	return store, func() {
-		in := rms.Point{ID: next, Values: pts[n+(next-n)%spare].Values}
-		next++
-		if err := store.ApplyBatch([]rms.Update{rms.Ins(in), rms.Del(oldest)}); err != nil {
+		ups = ups[:0]
+		for i := 0; i < batch; i++ {
+			ups = append(ups, rms.Ins(rms.Point{ID: next, Values: pts[n+(next-n)%spare].Values}))
+			next++
+		}
+		for i := 0; i < batch; i++ {
+			ups = append(ups, rms.Del(oldest))
+			oldest++
+		}
+		if err := store.ApplyBatch(ups); err != nil {
 			tb.Fatal(err)
 		}
-		oldest++
 	}
 }
 
@@ -44,7 +51,7 @@ func TestPublishAllocsFlatInN(t *testing.T) {
 	const d, small = 4, 2000
 	opts := rms.Options{K: 1, R: 10, Epsilon: 0.01, MaxUtilities: 128, Seed: 1}
 	median := func(n int) uint64 {
-		store, commit := slidingCommits(t, n, d, opts)
+		store, commit := slidingCommits(t, n, d, 1, opts)
 		defer store.Close()
 		for i := 0; i < 8; i++ {
 			commit() // past the first growth of the point arrays
@@ -67,11 +74,20 @@ func TestPublishAllocsFlatInN(t *testing.T) {
 	}
 }
 
+// serverOptions is the serving benchmark's configuration: r = 50,
+// M = 2048, ε = 0.01 (with AntiCor, n = 100k, d = 6).
+var serverOptions = rms.Options{K: 1, R: 50, Epsilon: 0.01, MaxUtilities: 2048, Seed: 1}
+
 // BenchmarkPublish times one sliding commit (1 insert + 1 delete, apply and
-// publish) at the serving benchmark's configuration: AntiCor, n = 100k,
-// d = 6, r = 50, M = 2048, ε = 0.01. CI gates on its B/op.
-func BenchmarkPublish(b *testing.B) {
-	store, commit := slidingCommits(b, 100000, 6, rms.Options{K: 1, R: 50, Epsilon: 0.01, MaxUtilities: 2048, Seed: 1})
+// publish) at the serving benchmark's configuration. CI gates on its B/op.
+func BenchmarkPublish(b *testing.B) { benchmarkSliding(b, 1) }
+
+// BenchmarkBulkCommit times one bulk commit (128 inserts + 128 sliding
+// deletes, apply and publish) at the serving benchmark's configuration.
+func BenchmarkBulkCommit(b *testing.B) { benchmarkSliding(b, 128) }
+
+func benchmarkSliding(b *testing.B, batch int) {
+	store, commit := slidingCommits(b, 100000, 6, batch, serverOptions)
 	defer store.Close()
 	for i := 0; i < 8; i++ {
 		commit() // past the first growth of the point arrays

@@ -240,6 +240,16 @@ func checkTuple(p Point, dim int, where string, i int) error {
 	return nil
 }
 
+// checkTuples runs checkTuple over every tuple of ps, named where.
+func checkTuples(ps []Point, dim int, where string) error {
+	for i, p := range ps {
+		if err := checkTuple(p, dim, where, i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // toOps is the one gate every tuple passes on its way into a maintained
 // database, the initial database included: it checks each insertion of
 // batch against a dim-attribute database and appends the batch's engine
@@ -323,20 +333,25 @@ func Compute(algorithm string, P []Point, dim, k, r int, seed int64) ([]Point, e
 	if !alg.SupportsK(k) {
 		return nil, fmt.Errorf("rms: algorithm %q does not support k = %d", algorithm, k)
 	}
-	for i, p := range P {
-		if err := checkTuple(p, dim, "P", i); err != nil {
-			return nil, err
-		}
+	if err := checkTuples(P, dim, "P"); err != nil {
+		return nil, err
 	}
 	return fromGeoms(alg.Compute(toGeoms(P), dim, k, r)), nil
 }
 
 // MaxRegretRatio estimates mrr_k(Q) over P with a sampled utility test set
 // (the paper's evaluation methodology; the estimate is a lower bound that
-// converges from below as samples grows).
-func MaxRegretRatio(P, Q []Point, dim, k, samples int, seed int64) float64 {
+// converges from below as samples grows). A tuple of P or Q that does not
+// fit (see ErrInvalidTuple) fails the call.
+func MaxRegretRatio(P, Q []Point, dim, k, samples int, seed int64) (float64, error) {
+	if err := checkTuples(P, dim, "P"); err != nil {
+		return 0, err
+	}
+	if err := checkTuples(Q, dim, "Q"); err != nil {
+		return 0, err
+	}
 	ev := regret.NewEvaluator(toGeoms(P), dim, k, samples, seed)
-	return ev.MRR(toGeoms(Q))
+	return ev.MRR(toGeoms(Q)), nil
 }
 
 // ExactMaxRegretRatio computes the exact mrr_1(Q) over P by linear
@@ -346,9 +361,14 @@ func ExactMaxRegretRatio(P, Q []Point) (float64, error) {
 }
 
 // Skyline returns the Pareto-optimal tuples of P (larger is better on
-// every attribute), ordered by ID. Every k-RMS answer is a subset of it.
-func Skyline(P []Point) []Point {
+// every attribute), ordered by ID. Every k-RMS answer is a subset of it. A
+// tuple of P that does not fit a dim-attribute database (see
+// ErrInvalidTuple) fails the call.
+func Skyline(P []Point, dim int) ([]Point, error) {
+	if err := checkTuples(P, dim, "P"); err != nil {
+		return nil, err
+	}
 	out := fromGeoms(skyline.Compute(toGeoms(P)))
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return out, nil
 }

@@ -58,8 +58,8 @@ func TestNewDynamicDefaults(t *testing.T) {
 	if len(res) == 0 || len(res) > 3 {
 		t.Fatalf("|Result| = %d", len(res))
 	}
-	if mrr := MaxRegretRatio(hotelPoints(), res, 2, 1, 5000, 1); mrr > 0.12 {
-		t.Fatalf("default-tuned result has mrr %v", mrr)
+	if mrr, err := MaxRegretRatio(hotelPoints(), res, 2, 1, 5000, 1); err != nil || mrr > 0.12 {
+		t.Fatalf("default-tuned result has mrr %v (err %v)", mrr, err)
 	}
 }
 
@@ -170,7 +170,10 @@ func TestComputeErrors(t *testing.T) {
 }
 
 func TestSkyline(t *testing.T) {
-	sky := Skyline(hotelPoints())
+	sky, err := Skyline(hotelPoints(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sky) != 5 {
 		t.Fatalf("|skyline| = %d, want 5", len(sky))
 	}
@@ -178,16 +181,20 @@ func TestSkyline(t *testing.T) {
 
 func TestExactMaxRegretRatio(t *testing.T) {
 	P := hotelPoints()
-	v, err := ExactMaxRegretRatio(P, Skyline(P))
+	sky, err := Skyline(P, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ExactMaxRegretRatio(P, sky)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v > 1e-7 {
 		t.Fatalf("skyline exact mrr = %v, want 0", v)
 	}
-	est := MaxRegretRatio(P, Skyline(P), 2, 1, 2000, 1)
-	if est > 1e-9 {
-		t.Fatalf("skyline sampled mrr = %v", est)
+	est, err := MaxRegretRatio(P, sky, 2, 1, 2000, 1)
+	if err != nil || est > 1e-9 {
+		t.Fatalf("skyline sampled mrr = %v (err %v)", est, err)
 	}
 }
 
@@ -221,12 +228,18 @@ func TestDynamicVsStaticEndToEnd(t *testing.T) {
 		cur = append(cur, p)
 	}
 	sort.Slice(cur, func(i, j int) bool { return cur[i].ID < cur[j].ID })
-	dynMRR := MaxRegretRatio(cur, d.Result(), 3, 1, 10000, 2)
+	dynMRR, err := MaxRegretRatio(cur, d.Result(), 3, 1, 10000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sphere, err := Compute("Sphere", cur, 3, 1, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sphMRR := MaxRegretRatio(cur, sphere, 3, 1, 10000, 2)
+	sphMRR, err := MaxRegretRatio(cur, sphere, 3, 1, 10000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dynMRR > sphMRR+0.06 {
 		t.Fatalf("dynamic mrr %v far above static Sphere %v", dynMRR, sphMRR)
 	}
