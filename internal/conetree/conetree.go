@@ -13,7 +13,8 @@
 // (spherical triangle inequality), so whole clusters whose bound falls
 // below their minimum threshold are skipped — this is how FD-RMS touches
 // only the u(Δt) utilities whose approximate top-k results an insertion can
-// change (the top-down scheme of Yu et al., SIGMOD 2012).
+// change (the top-down scheme of Yu et al., SIGMOD 2012). The probe
+// evaluates the bound without inverse trigonometry (see probe.reaches).
 //
 // The indexed utilities are fixed at construction: FD-RMS samples its M
 // vectors once and Algorithm 4 moves m inside [r, M] on the set-cover side
@@ -59,6 +60,8 @@ type node struct {
 	left, right *node
 	center      geom.Vector // unit mean direction, conservative
 	maxAngle    float64     // max angle(center, u) over the subtree
+	cosMax      float64     // cos(maxAngle)
+	sinMax      float64     // sin(maxAngle)
 	minThresh   float64     // min Threshold over the subtree
 	ids         []int       // leaf payload (nil for internal nodes)
 	count       int         // items in the subtree
@@ -163,6 +166,7 @@ func (t *Tree) refreshLeaf(n *node) {
 			n.minThresh = it.Threshold
 		}
 	}
+	n.cosMax, n.sinMax = math.Cos(n.maxAngle), math.Sin(n.maxAngle)
 }
 
 // refreshInternal computes an internal node's summary from its two
@@ -185,6 +189,7 @@ func (t *Tree) refreshInternal(n *node) {
 	if n.maxAngle > math.Pi {
 		n.maxAngle = math.Pi
 	}
+	n.cosMax, n.sinMax = math.Cos(n.maxAngle), math.Sin(n.maxAngle)
 }
 
 // SetThreshold updates the pruning threshold for id and repairs subtree
@@ -242,34 +247,14 @@ func (t *Tree) Affected(p geom.Point) []int {
 // tree's DFS scratch have warmed up. Matches are appended in leaf order
 // (left subtree before right), the order the recursive walk produced.
 func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
-	if t.root == nil {
-		return out
-	}
-	normP := geom.Norm(p.Coords)
-	stack := append(t.stack[:0], t.root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		// Upper bound of <u, p> over the cone.
-		theta := geom.Angle(n.center, p.Coords) - n.maxAngle
-		if theta < 0 {
-			theta = 0
-		}
-		if normP*math.Cos(theta) < n.minThresh {
-			continue
-		}
-		if n.ids != nil {
-			for _, id := range n.ids {
-				it := t.items[id].item
-				if geom.Score(it.U, p) >= it.Threshold {
-					out = append(out, id)
-				}
+	t.reachedLeaves(p, func(leaf *node) {
+		for _, id := range leaf.ids {
+			it := t.items[id].item
+			if geom.Score(it.U, p) >= it.Threshold {
+				out = append(out, id)
 			}
-			continue
 		}
-		stack = append(stack, n.right, n.left)
-	}
-	t.stack = stack
+	})
 	return out
 }
 
@@ -277,28 +262,66 @@ func (t *Tree) AffectedInto(p geom.Point, out []int) []int {
 // it is Affected without the final filter and exists for the cone-pruning
 // ablation experiment.
 func (t *Tree) Visited(p geom.Point) int {
-	if t.root == nil {
-		return 0
-	}
-	normP := geom.Norm(p.Coords)
 	count := 0
+	t.reachedLeaves(p, func(leaf *node) { count += len(leaf.ids) })
+	return count
+}
+
+// reachedLeaves calls visit, left to right, on every leaf the cone bound
+// does not prune for p.
+func (t *Tree) reachedLeaves(p geom.Point, visit func(leaf *node)) {
+	if t.root == nil {
+		return
+	}
+	pr := newProbe(p.Coords)
 	stack := append(t.stack[:0], t.root)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		theta := geom.Angle(n.center, p.Coords) - n.maxAngle
-		if theta < 0 {
-			theta = 0
-		}
-		if normP*math.Cos(theta) < n.minThresh {
+		if !pr.reaches(n) {
 			continue
 		}
 		if n.ids != nil {
-			count += len(n.ids)
+			visit(n)
 			continue
 		}
 		stack = append(stack, n.right, n.left)
 	}
 	t.stack = stack
-	return count
+}
+
+// probe is one tuple's pruning state for reachedLeaves.
+type probe struct {
+	p            geom.Vector
+	norm, normSq float64 // ‖p‖ and ‖p‖²
+	slack        float64 // rounding slack, (8d+8)·2^-53·‖p‖
+}
+
+func newProbe(p geom.Vector) probe {
+	sq := geom.Dot(p, p)
+	norm := math.Sqrt(sq)
+	return probe{p: p, norm: norm, normSq: sq, slack: float64(8*len(p)+8) * 0x1p-53 * norm}
+}
+
+// reaches reports whether some utility in n's subtree may score p at or
+// above its threshold: whether the bound ‖p‖·cos(max(0, θ − α)), with θ the
+// angle from n's center c to p and α = n.maxAngle, is at least n.minThresh.
+// With C = <c, p> = ‖p‖·cos θ, the bound is ‖p‖ when θ ≤ α (C ≥ ‖p‖·cos α)
+// and otherwise expands to C·cos α + √(‖p‖² − C²)·sin α, so the probe needs
+// no acos, no cos and no renormalized center. Tuples, utilities and hence
+// centers are nonnegative, so θ ≤ π/2 and sin α < sin θ on the second
+// branch; every rounding error there, the cancellation in ‖p‖² − C²
+// included, is then a few d·2^-53·‖p‖, as is the rounding of each item's
+// exact score, and the slack covers them both. It does not widen α, which
+// the build derives with acos.
+func (pr *probe) reaches(n *node) bool {
+	var c float64
+	for i, x := range n.center {
+		c += x * pr.p[i]
+	}
+	ub := pr.norm
+	if c < pr.norm*n.cosMax {
+		ub = c*n.cosMax + math.Sqrt(max(0, pr.normSq-c*c))*n.sinMax
+	}
+	return ub+pr.slack >= n.minThresh
 }

@@ -166,8 +166,8 @@ func TestArenaQueriesMatchBruteForceAcrossEpochs(t *testing.T) {
 	}
 }
 
-// BenchmarkTopKInto is the scratch-reusing query benchmark; CI gates on its
-// "0 allocs/op" report (see .github/workflows/ci.yml).
+// BenchmarkTopKInto is the scratch-reusing query benchmark on uniform data;
+// CI gates on its "0 allocs/op" report (see .github/workflows/ci.yml).
 func BenchmarkTopKInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 50000, 6)
@@ -182,9 +182,11 @@ func BenchmarkTopKInto(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	start := sc.Nodes()
 	for i := 0; i < b.N; i++ {
 		tr.TopKInto(us[i%len(us)], 10, &sc)
 	}
+	reportNodes(b, &sc, start)
 }
 
 // BenchmarkPoints pins the exact-preallocation snapshot path.

@@ -25,9 +25,12 @@ func gridPointsKD(rng *rand.Rand, n, d, idBase, levels int) []geom.Point {
 }
 
 // checkTreeInvariants walks the arena and verifies liveCount and maxDel
-// bookkeeping bottom-up.
+// bookkeeping bottom-up, and that every box row contains its subtree: each
+// point, tombstones included, lies within the row's minima and maxima, and
+// its coordinate sum is at most the row's largest sum.
 func checkTreeInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
+	d := tr.dim
 	var walk func(idx int32) (live int32, maxDel uint64)
 	walk = func(idx int32) (int32, uint64) {
 		if idx == nilNode {
@@ -36,6 +39,25 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 		n := tr.node(idx)
 		ll, lm := walk(n.left)
 		rl, rm := walk(n.right)
+		row := tr.boxRow(idx)
+		var inRow func(c int32)
+		inRow = func(c int32) {
+			if c == nilNode {
+				return
+			}
+			p := tr.coords[int(c)*d:][:d]
+			for j, x := range p {
+				if x > row[j] || x < row[d+j] {
+					t.Fatalf("node %d's row %v misses point %d at %v", tr.pts[idx].ID, row, tr.pts[c].ID, p)
+				}
+			}
+			if rowSum(p) > row[2*d] {
+				t.Fatalf("node %d's row %v: point %d sums to %v", tr.pts[idx].ID, row, tr.pts[c].ID, rowSum(p))
+			}
+			inRow(tr.node(c).left)
+			inRow(tr.node(c).right)
+		}
+		inRow(idx)
 		live, maxDel := ll+rl, lm
 		if rm > maxDel {
 			maxDel = rm

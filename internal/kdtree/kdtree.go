@@ -3,8 +3,9 @@
 // needs under a dynamic workload:
 //
 //   - TopK: the k tuples with the highest linear-utility score, found by
-//     best-first branch-and-bound on per-box score upper bounds (valid
-//     because utility vectors are nonnegative);
+//     best-first branch-and-bound on per-node score upper bounds over each
+//     subtree's box cut by its largest coordinate sum (valid because
+//     coordinates and utility weights are nonnegative; see boxScoreUB);
 //   - AtLeast: every tuple with score >= a threshold, which yields the
 //     ε-approximate top-k set Φ_{k,ε};
 //   - Insert and Delete with tombstoning and automatic rebuilds.
@@ -13,23 +14,26 @@
 //
 // Nodes live in an arena, not a pointer graph: children are int32 slot
 // indices, and the per-node data the query inner loops stream — subtree
-// bounding boxes and the point coordinates — sit in dim-strided float64
-// arrays (structure-of-arrays), so boxScoreUB and the score evaluation read
-// contiguous memory instead of chasing heap pointers. The state a View reads
-// and the writer changes in place — the node records and the boxMax rows —
-// lives in fixed-size pages behind a page table (page.go); the point payload
-// and the flat coordinates are append-only between rebuilds and stay flat,
-// and so does boxMin, which only the writer reads. An id → slot table
-// (idIndex) answers Contains and PointByID and lives in pages of its own.
-// Taking a View copies the two page tables and advances the tree's
-// generation; the writer clones an older page the first time it writes to
-// it, so a commit copies the pages it touched, not the tree. A node page's
-// boxMax array carries a generation of its own and is cloned only when a
-// row of it is written, so a tombstone, which rewrites counts and epochs
-// but never a bound, copies node records alone. The
+// box rows and the point coordinates — sit in float64 arrays
+// (structure-of-arrays), so boxScoreUB and the score evaluation read
+// contiguous memory instead of chasing heap pointers. A node's box row is
+// 2·dim+1 floats: the subtree's coordinate maxima, its minima, and the
+// largest coordinate sum of its points. The queries bound scores with all
+// three, and the writer reads them to steer tombstone searches. The state a
+// View reads and the writer changes in place — the node records and the box
+// rows — lives in fixed-size pages behind a page table (page.go); the point
+// payload and the flat coordinates are append-only between rebuilds and
+// stay flat. An id → slot table (idIndex) answers Contains and PointByID
+// and lives in pages of its own. Taking a View copies the two page tables
+// and advances the tree's generation; the writer clones an older page the
+// first time it writes to it, so a commit copies the pages it touched, not
+// the tree. A node page's box array carries a generation of its own and is
+// cloned only when a row of it is written, so a tombstone, which rewrites
+// counts and epochs but never a bound, copies node records alone. The
 // branch-and-bound frontier and the result ranking use typed inline heaps
 // backed by caller-owned QueryScratch buffers (see scratch.go): a warmed-up
-// TopKInto/AtLeastInto query performs zero allocations.
+// TopKInto/AtLeastInto query performs zero allocations, and the scratch
+// counts the nodes its queries expand (QueryScratch.Nodes).
 //
 // # Epoch versioning
 //
@@ -60,8 +64,8 @@ import (
 const nilNode = int32(-1)
 
 // node is the scalar metadata of one arena slot. The fields the query inner
-// loops stream over many nodes — bounding boxes and point coordinates —
-// live in dim-strided arrays instead (structure-of-arrays).
+// loops stream over many nodes — box rows and point coordinates — live in
+// strided arrays instead (structure-of-arrays).
 type node struct {
 	left, right int32
 	axis        int32
@@ -72,7 +76,7 @@ type node struct {
 }
 
 // arena is the node storage the score queries read: slot i of every array
-// describes the same node. Node records and boxMax rows sit in pages (see
+// describes the same node. Node records and box rows sit in pages (see
 // page.go); coords is a flat dim-strided copy of the points' coordinates
 // (slot i occupies [i*dim, (i+1)*dim)), so the score computation streams
 // contiguous float64s. len(pts) is the number of slots in use. The query
@@ -89,8 +93,7 @@ type arena struct {
 // Tree is a dynamic k-d tree over points in R^d.
 type Tree struct {
 	arena
-	boxMin  []float64 // subtree box minima, flat like coords; views never read them
-	ids     idIndex   // live id → slot
+	ids     idIndex // live id → slot
 	removed int
 
 	recScratch []rec // reusable rebuild record buffer
@@ -141,7 +144,6 @@ func New(dim int, pts []geom.Point) *Tree {
 func (t *Tree) growArena(n int) {
 	t.pts = slices.Grow(t.pts, n)
 	t.coords = slices.Grow(t.coords, n*t.dim)
-	t.boxMin = slices.Grow(t.boxMin, n*t.dim)
 }
 
 // pushNode appends one node to the arena with its box initialized to the
@@ -150,16 +152,15 @@ func (t *Tree) growArena(n int) {
 func (t *Tree) pushNode(r rec, axis int) int32 {
 	idx := int32(len(t.pts))
 	if int(idx>>pageShift) == len(t.pages) {
-		t.pages = append(t.pages, &page{boxMax: make([]float64, pageLen*t.dim), boxGen: t.gen, gen: t.gen})
+		t.pages = append(t.pages, &page{box: make([]float64, pageLen*rowLen(t.dim)), boxGen: t.gen, gen: t.gen})
 	}
 	*t.nodeW(idx) = node{
 		left: nilNode, right: nilNode, axis: int32(axis),
 		deleted: r.deleted, ins: r.ins, del: r.del,
 	}
-	copy(t.boxMaxW(idx), r.p.Coords)
+	t.pointRow(t.boxW(idx), r.p.Coords)
 	t.pts = append(t.pts, r.p)
 	t.coords = append(t.coords, r.p.Coords...)
-	t.boxMin = append(t.boxMin, r.p.Coords...)
 	if !r.deleted {
 		t.ids.put(r.p.ID, idx, t.gen)
 	}
@@ -227,15 +228,21 @@ func selectKth(recs []rec, k, axis int) {
 	}
 }
 
-// refreshBounds recomputes the box, liveCount and maxDel of slot idx from
-// its point and children.
+// pointRow writes the box row of the single point c into row.
+func (t *Tree) pointRow(row, c []float64) {
+	d := t.dim
+	copy(row[:d], c)
+	copy(row[d:2*d], c)
+	row[2*d] = rowSum(c)
+}
+
+// refreshBounds recomputes the box row, liveCount and maxDel of slot idx
+// from its point and children.
 func (t *Tree) refreshBounds(idx int32) {
 	n := t.nodeW(idx)
 	d := t.dim
-	base := int(idx) * d
-	bmin, bmax := t.boxMin[base:base+d], t.boxMaxW(idx)
-	copy(bmin, t.coords[base:base+d])
-	copy(bmax, t.coords[base:base+d])
+	row := t.boxW(idx)
+	t.pointRow(row, t.coords[int(idx)*d:][:d])
 	n.liveCount = 0
 	n.maxDel = 0
 	if n.deleted {
@@ -252,15 +259,12 @@ func (t *Tree) refreshBounds(idx int32) {
 		if cn.maxDel > n.maxDel {
 			n.maxDel = cn.maxDel
 		}
-		cmin, cmax := t.boxMin[int(c)*d:][:d], t.boxMaxRow(c)
+		crow := t.boxRow(c)
 		for i := 0; i < d; i++ {
-			if cmin[i] < bmin[i] {
-				bmin[i] = cmin[i]
-			}
-			if cmax[i] > bmax[i] {
-				bmax[i] = cmax[i]
-			}
+			row[i] = max(row[i], crow[i])
+			row[d+i] = min(row[d+i], crow[d+i])
 		}
+		row[2*d] = max(row[2*d], crow[2*d])
 	}
 }
 
@@ -368,26 +372,31 @@ func (t *Tree) Insert(p geom.Point) {
 }
 
 func (t *Tree) insertAt(idx int32, p geom.Point, ins uint64) {
-	d := t.dim
+	d, w := t.dim, rowLen(t.dim)
+	sum := rowSum(p.Coords)
 	for {
 		pg := t.ownPage(idx)
 		n := &pg.nodes[idx&pageMask]
 		n.liveCount++
-		base, off := int(idx)*d, int(idx&pageMask)*d
-		bmin := t.boxMin[base : base+d]
+		off := int(idx&pageMask) * w
+		// Widen the row where p falls outside it; the first widened entry
+		// clones a shared box array.
 		for i := 0; i < d; i++ {
-			if p.Coords[i] < bmin[i] {
-				bmin[i] = p.Coords[i]
+			if c := p.Coords[i]; c > pg.box[off+i] {
+				t.ownBox(pg)
+				pg.box[off+i] = c
+			} else if c < pg.box[off+d+i] {
+				t.ownBox(pg)
+				pg.box[off+d+i] = c
 			}
-			if p.Coords[i] > pg.boxMax[off+i] {
-				// The first raised maximum clones a shared boxMax array.
-				t.ownBoxMax(pg)
-				pg.boxMax[off+i] = p.Coords[i]
-			}
+		}
+		if sum > pg.box[off+2*d] {
+			t.ownBox(pg)
+			pg.box[off+2*d] = sum
 		}
 		axis := int(n.axis)
 		next := (axis + 1) % d
-		goLeft := p.Coords[axis] < t.coords[base+axis]
+		goLeft := p.Coords[axis] < t.coords[int(idx)*d+axis]
 		child := n.right
 		if goLeft {
 			child = n.left
@@ -450,9 +459,9 @@ func (t *Tree) tombstone(idx int32, p geom.Point, del uint64) bool {
 	d := t.dim
 	base := int(idx) * d
 	// Box pruning: p must be inside the subtree's bounding box.
-	bmax := t.boxMaxRow(idx)
+	row := t.boxRow(idx)
 	for i := 0; i < d; i++ {
-		if p.Coords[i] < t.boxMin[base+i] || p.Coords[i] > bmax[i] {
+		if p.Coords[i] > row[i] || p.Coords[i] < row[d+i] {
 			return false
 		}
 	}
@@ -519,7 +528,7 @@ func (t *Tree) rebuild() {
 		t.pts, t.coords = nil, nil
 		t.flatGen = t.gen
 	}
-	t.pts, t.coords, t.boxMin = t.pts[:0], t.coords[:0], t.boxMin[:0]
+	t.pts, t.coords = t.pts[:0], t.coords[:0]
 	t.growArena(len(recs))
 	clear(t.pages)
 	t.pages = t.pages[:0]
@@ -532,17 +541,93 @@ func (t *Tree) rebuild() {
 	clear(t.pts[len(t.pts):cap(t.pts)])
 }
 
-// boxScoreUB returns an upper bound on <u, p> over every point in the box
-// of the page's slot i (i < pageLen; len(u) is the dimension). Utilities
-// are nonnegative, so the per-axis maximum is tight. The box row is one
-// contiguous stretch of the page's boxMax array.
-func (pg *page) boxScoreUB(u geom.Vector, i int32) float64 {
-	box := pg.boxMax[int(i)*len(u):][:len(u)]
-	var s float64
-	for i, ui := range u {
-		s += ui * box[i]
+// scoreBound is the per-query state of boxScoreUB: the utility, its axes
+// in increasing weight, and the rounding slack per unit of coordinate sum.
+// The axes slice is backed by the query's scratch.
+type scoreBound struct {
+	u     geom.Vector
+	axes  []int
+	slack float64
+}
+
+// bound prepares boxScoreUB for utility u, sorting u's axes once per query
+// into sc.
+func (sc *QueryScratch) bound(u geom.Vector) scoreBound {
+	axes := sc.axes[:0]
+	umax := 0.0
+	for j, uj := range u {
+		// Insertion sort: equal weights keep axis order.
+		i := len(axes)
+		axes = append(axes, j)
+		for ; i > 0 && u[axes[i-1]] > uj; i-- {
+			axes[i] = axes[i-1]
+		}
+		axes[i] = j
+		umax = max(umax, uj)
 	}
-	return s
+	sc.axes = axes
+	return scoreBound{u: u, axes: axes, slack: float64(8*len(u)+8) * 0x1p-53 * umax}
+}
+
+// boxScoreUB returns an upper bound on the computed score scoreOf(u, p) of
+// every point p under the page's slot i (i < pageLen). Coordinates and
+// utility weights are nonnegative (the rms layer rejects other tuples and
+// utilities). The bound is min(A, K + slack):
+//
+//   - A = Σ u_j·max_j. Its loop adds the same products in the same order as
+//     scoreOf, and rounding is monotone, so A is at least every computed
+//     score with no slack at all.
+//   - K = max{<u, x> : min ≤ x ≤ max, Σ x_j ≤ maxSum}, the fractional
+//     knapsack over the box cut by the largest coordinate sum. It is A
+//     less the cheapest way to remove the excess E = Σ max_j − maxSum:
+//     the axes give up their ranges max_j − min_j in increasing u_j. On
+//     data that sits near one sum, as anti-correlated data does, K is far
+//     below A.
+//
+// The slack covers the rounding that K's derivation does not see. Let
+// ε = 2^-53, γ_n = nε/(1−nε) ≤ 1.01·nε, U = max_j u_j and H = Σ_j max_j,
+// so that A ≤ U·H and every partial sum below is at most H or U·H:
+//
+//  1. a point's exact coordinate sum exceeds its computed rowSum, hence
+//     maxSum, by at most γ_{d-1}·H, and K grows by at most U per unit of
+//     budget: at most γ_{d-1}·U·H;
+//  2. scoreOf exceeds the exact score by at most γ_d·U·H;
+//  3. the computed cut takes off at most U per unit of budget error, and
+//     the excess and the ranges carry at most (2d+1)·1.01·ε·H of it (the
+//     sum of the maxima, the excess, d ranges, d updates); the running
+//     value carries at most 3d·1.01·ε·U·H more (A's d products and sums,
+//     then ≤ d products and ≤ d subtractions).
+//
+// The three add to under 7.1·d·ε·U·H, and the final product and sum to
+// about 2.2·ε·U·H, so slack = (8d+8)·ε·U·(computed H) covers them for every
+// d. The bound is therefore at least every computed score in the subtree:
+// pruning on it loses no point, and a bound equal to the kth score still
+// marks every possible tie.
+func (b *scoreBound) boxScoreUB(pg *page, i int32) float64 {
+	u := b.u
+	d := len(u)
+	row := pg.box[int(i)*(2*d+1):][: 2*d+1 : 2*d+1]
+	hi, lo := row[:d:d], row[d:2*d:2*d]
+	var a, sum float64
+	for j, uj := range u {
+		a += uj * hi[j]
+		sum += hi[j]
+	}
+	excess := sum - row[2*d]
+	if excess <= 0 {
+		return a // the sum does not bind: K = A
+	}
+	k := a
+	for _, j := range b.axes {
+		r := hi[j] - lo[j]
+		if r >= excess {
+			k -= u[j] * excess
+			break
+		}
+		k -= u[j] * r
+		excess -= r
+	}
+	return min(a, k+b.slack*sum)
 }
 
 // scoreOf returns <u, p> for the point of slot idx from the arena's flat
@@ -628,14 +713,13 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 		sc.results = sc.results[:0]
 		return nil, false
 	}
+	b := sc.bound(u)
 	prevResults := len(sc.results)
 	frontier := sc.frontier[:0]
 	best = sc.results[:0]
-	rp := a.pages[a.root>>pageShift]
-	frontier = pushFrontier(frontier, frontierEntry{rp.boxScoreUB(u, a.root&pageMask), a.root})
-	for len(frontier) > 0 {
-		var ent frontierEntry
-		ent, frontier = popFrontier(frontier)
+	var expanded uint64
+	ent := frontierEntry{b.boxScoreUB(a.pages[a.root>>pageShift], a.root&pageMask), a.root}
+	for {
 		if len(best) == k && ent.ub <= best[0].Score {
 			// Remaining frontier entries bound no higher than this one.
 			if ent.ub == best[0].Score {
@@ -643,6 +727,7 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 			}
 			break
 		}
+		expanded++
 		n := a.node(ent.idx)
 		if n.visibleAt(e) {
 			s := a.scoreOf(u, ent.idx)
@@ -659,6 +744,9 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 				ambiguous = true
 			}
 		}
+		// Keep the children that may still beat the kth score, better first.
+		var kids [2]frontierEntry
+		kept := 0
 		for _, c := range [2]int32{n.left, n.right} {
 			if c == nilNode {
 				continue
@@ -667,14 +755,35 @@ func (a *arena) searchTopK(u geom.Vector, k int, e uint64, sc *QueryScratch) (be
 			if cp.nodes[c&pageMask].emptyAt(e) {
 				continue
 			}
-			ub := cp.boxScoreUB(u, c&pageMask)
+			ub := b.boxScoreUB(cp, c&pageMask)
 			if len(best) < k || ub > best[0].Score {
-				frontier = pushFrontier(frontier, frontierEntry{ub, c})
+				kids[kept] = frontierEntry{ub, c}
+				kept++
 			} else if ub == best[0].Score {
 				ambiguous = true
 			}
 		}
+		if kept == 2 {
+			if kids[1].ub > kids[0].ub {
+				kids[0], kids[1] = kids[1], kids[0]
+			}
+			frontier = pushFrontier(frontier, kids[1])
+		}
+		// Dive into the better child when no frontier entry bounds higher:
+		// it is the entry the next pop would return (up to ties).
+		if kept > 0 {
+			if len(frontier) == 0 || kids[0].ub >= frontier[0].ub {
+				ent = kids[0]
+				continue
+			}
+			frontier = pushFrontier(frontier, kids[0])
+		}
+		if len(frontier) == 0 {
+			break
+		}
+		ent, frontier = popFrontier(frontier)
 	}
+	sc.nodes += expanded
 	sc.frontier = frontier
 	// Results hold geom.Points: zero the shrink gap so the scratch does not
 	// pin coordinate arrays of tuples a previous, larger query returned.
@@ -774,6 +883,8 @@ func (a *arena) atLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScr
 		sc.out = out
 		return out
 	}
+	b := sc.bound(u)
+	var expanded uint64
 	stack := sc.stack[:0]
 	stack = append(stack, a.root)
 	for len(stack) > 0 {
@@ -781,9 +892,10 @@ func (a *arena) atLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScr
 		stack = stack[:len(stack)-1]
 		pg := a.pages[idx>>pageShift]
 		n := &pg.nodes[idx&pageMask]
-		if n.emptyAt(e) || pg.boxScoreUB(u, idx&pageMask) < tau {
+		if n.emptyAt(e) || b.boxScoreUB(pg, idx&pageMask) < tau {
 			continue
 		}
+		expanded++
 		if n.visibleAt(e) {
 			if s := a.scoreOf(u, idx); s >= tau {
 				out = append(out, Result{a.pts[idx], s})
@@ -806,5 +918,6 @@ func (a *arena) atLeastAtInto(u geom.Vector, tau float64, e uint64, sc *QueryScr
 	}
 	sc.out = out
 	sc.stack = stack
+	sc.nodes += expanded
 	return out
 }

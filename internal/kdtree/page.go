@@ -6,11 +6,12 @@ import (
 	"slices"
 )
 
-// Page geometry. A node page holds pageLen node records and their boxMax
+// Page geometry. A node page holds pageLen node records and their box
 // rows; an id page holds idPageLen id-table entries. An entry is 16 bytes
-// against a node's 48 + 8·dim, so id pages hold 8× the entries to keep the
-// two kinds of page near the same size. pageShift is the one tuning
-// constant; CHANGES.md records the sweep that chose it.
+// against a node's 48 + 8·(2·dim+1), so id pages hold 8× the entries to keep
+// the two kinds of page within a small factor of each other in size.
+// pageShift is the one tuning constant; CHANGES.md records the sweep that
+// chose it.
 const (
 	pageShift   = 7
 	pageLen     = 1 << pageShift
@@ -21,22 +22,38 @@ const (
 )
 
 // page is one fixed-size block of the view-visible arena state: pageLen
-// node records and their boxMax rows (boxMax[i*dim:(i+1)*dim] belongs to
-// nodes[i]). gen is the tree generation that created the page: a page whose
-// gen is older than the tree's was created before the newest View and may be
+// node records and their box rows. A row is 2·dim+1 floats: the subtree's
+// coordinate maxima, its minima, and the largest coordinate sum of its
+// points (see rowSum); box[i*(2·dim+1):(i+1)*(2·dim+1)] belongs to nodes[i].
+// gen is the tree generation that created the page: a page whose gen is
+// older than the tree's was created before the newest View and may be
 // shared with it, so the writer clones it before the first write (see
-// Tree.ownPage). The boxMax array has a generation of its own, boxGen: a
-// page clone copies the node records but keeps sharing the array, which the
-// writer clones only when it writes a row (Tree.ownBoxMax). Tombstones and
-// most inserts along a path never raise a box maximum, so most clones copy
-// no bounds. boxGen <= gen, and a page whose gen is older than the tree's
-// has both older. boxMax comes first so the collector scans only the slice
-// header, not the pointer-free node array.
+// Tree.ownPage). The box array has a generation of its own, boxGen: a page
+// clone copies the node records but keeps sharing the array, which the
+// writer clones only when it writes a row (Tree.ownBox). Tombstones and
+// most inserts along a path never widen a box, so most clones copy no
+// bounds. boxGen <= gen, and a page whose gen is older than the tree's has
+// both older. box comes first so the collector scans only the slice header,
+// not the pointer-free node array.
 type page struct {
-	boxMax []float64
+	box    []float64
 	boxGen uint64
 	gen    uint64
 	nodes  [pageLen]node
+}
+
+// rowLen is the length of one box row of a dim-dimensional tree.
+func rowLen(dim int) int { return 2*dim + 1 }
+
+// rowSum is the coordinate sum a box row bounds: the left-to-right
+// floating-point sum. boxScoreUB forms the same sum over the row's maxima,
+// and rounding is monotone, so no point's rowSum exceeds that sum.
+func rowSum(c []float64) float64 {
+	var s float64
+	for _, x := range c {
+		s += x
+	}
+	return s
 }
 
 // node returns slot idx's record for reading.
@@ -44,16 +61,17 @@ func (a *arena) node(idx int32) *node {
 	return &a.pages[idx>>pageShift].nodes[idx&pageMask]
 }
 
-// boxMaxRow returns slot idx's boxMax row for reading.
-func (a *arena) boxMaxRow(idx int32) []float64 {
-	off := int(idx&pageMask) * a.dim
-	return a.pages[idx>>pageShift].boxMax[off : off+a.dim]
+// boxRow returns slot idx's box row for reading.
+func (a *arena) boxRow(idx int32) []float64 {
+	w := rowLen(a.dim)
+	off := int(idx&pageMask) * w
+	return a.pages[idx>>pageShift].box[off : off+w]
 }
 
 // ownPage returns the page holding slot idx, first replacing it with a
 // private clone of its node records when a View may share it; the clone
-// still shares the boxMax array (see ownBoxMax). Pointers into the page
-// obtained before the call may point into the shared original afterwards.
+// still shares the box array (see ownBox). Pointers into the page obtained
+// before the call may point into the shared original afterwards.
 func (t *Tree) ownPage(idx int32) *page {
 	pg := t.pages[idx>>pageShift]
 	if pg.gen != t.gen {
@@ -65,12 +83,12 @@ func (t *Tree) ownPage(idx int32) *page {
 	return pg
 }
 
-// ownBoxMax gives pg, a page the writer owns, a private boxMax array when a
-// View may share the current one. Rows obtained before the call may point
-// into the shared original afterwards.
-func (t *Tree) ownBoxMax(pg *page) {
+// ownBox gives pg, a page the writer owns, a private box array when a View
+// may share the current one. Rows obtained before the call may point into
+// the shared original afterwards.
+func (t *Tree) ownBox(pg *page) {
 	if pg.boxGen != t.gen {
-		pg.boxMax = slices.Clone(pg.boxMax)
+		pg.box = slices.Clone(pg.box)
 		pg.boxGen = t.gen
 	}
 }
@@ -80,12 +98,13 @@ func (t *Tree) nodeW(idx int32) *node {
 	return &t.ownPage(idx).nodes[idx&pageMask]
 }
 
-// boxMaxW returns slot idx's boxMax row for writing.
-func (t *Tree) boxMaxW(idx int32) []float64 {
+// boxW returns slot idx's box row for writing.
+func (t *Tree) boxW(idx int32) []float64 {
 	pg := t.ownPage(idx)
-	t.ownBoxMax(pg)
-	off := int(idx&pageMask) * t.dim
-	return pg.boxMax[off : off+t.dim]
+	t.ownBox(pg)
+	w := rowLen(t.dim)
+	off := int(idx&pageMask) * w
+	return pg.box[off : off+w]
 }
 
 // idIndex maps each live id to its arena slot: an open-addressing table

@@ -2,11 +2,12 @@ package kdtree
 
 // QueryScratch holds the reusable buffers of one query stream: the
 // branch-and-bound frontier, the result ranking heap, the threshold-sweep
-// output, and the DFS stack. A scratch belongs to exactly one goroutine;
-// the Into query variants reuse its storage, so a warmed-up scratch makes
-// steady-state queries allocation-free. Results returned by Into variants
-// alias the scratch and are valid only until the next query through it —
-// copy them out to retain.
+// output, the DFS stack, and the query utility's axis order. A scratch
+// belongs to exactly one goroutine; the Into query variants reuse its
+// storage, so a warmed-up scratch makes steady-state queries
+// allocation-free. Results returned by Into variants alias the scratch and
+// are valid only until the next query through it — copy them out to
+// retain.
 //
 // The zero value is ready to use.
 type QueryScratch struct {
@@ -14,7 +15,15 @@ type QueryScratch struct {
 	results  []Result        // min-heap of the k best kept results
 	out      []Result        // threshold-sweep / output buffer
 	stack    []int32         // DFS stack of AtLeastAtInto
+	axes     []int           // the query utility's axes by increasing weight
+	nodes    uint64          // nodes expanded by the queries through sc
 }
+
+// Nodes returns the number of tree nodes the queries through sc have
+// expanded so far: every node whose point a query scored and whose children
+// it examined. It counts work, not time: a query's count is the difference
+// across it, and the same query on the same tree expands the same nodes.
+func (sc *QueryScratch) Nodes() uint64 { return sc.nodes }
 
 // frontierEntry is one unexplored subtree in the branch-and-bound frontier,
 // keyed by its score upper bound.

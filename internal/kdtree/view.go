@@ -21,10 +21,10 @@ import (
 // generation, which marks every current page shared in O(1). The writer
 // clones a shared page the first time it writes to it (Tree.ownPage,
 // idIndex.own), so each later commit copies only the pages it touches; a
-// node page's boxMax array is cloned separately, on the first write of a
-// row (Tree.ownBoxMax), so pages that only tombstones touch keep sharing
-// their bounds with the view. The
-// point payload and flat coordinate arrays are append-only between rebuilds:
+// node page's box array (maxima, minima and largest coordinate sum per
+// node, the bounds every query prunes on) is cloned separately, on the
+// first write of a row (Tree.ownBox), so pages that only tombstones touch
+// keep sharing their bounds with the view. The point payload and flat coordinate arrays are append-only between rebuilds:
 // the view reads only its frozen prefix, so concurrent appends past that
 // prefix are race-free, and a rebuild while a view is outstanding moves
 // them to fresh backing arrays instead of compacting in place. A dropped

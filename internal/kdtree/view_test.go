@@ -151,10 +151,10 @@ func sharedPages(tr *Tree) int {
 }
 
 // A page clone copies node records, not bounds: after View(), a batch of
-// tombstones leaves every page's boxMax array shared with the view, and an
+// tombstones leaves every page's box array shared with the view, and an
 // insert gives a private array to exactly the pages whose rows it writes —
-// the ancestors whose box it extends and the page of its new node — while
-// the view keeps answering for its own epoch.
+// the ancestors whose box or coordinate sum it extends and the page of its
+// new node — while the view keeps answering for its own epoch.
 func TestViewBoxMaxClonedOnWrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const d = 3
@@ -165,7 +165,7 @@ func TestViewBoxMaxClonedOnWrite(t *testing.T) {
 		tr.Delete(id)
 	}
 	if got := privateBoxMax(tr, v); len(got) != 0 {
-		t.Fatalf("tombstones cloned the boxMax arrays of pages %v", got)
+		t.Fatalf("tombstones cloned the box arrays of pages %v", got)
 	}
 	if sharedPages(tr) == len(tr.pages)+len(tr.ids.pages) {
 		t.Fatal("tombstones cloned no page: the batch wrote nothing")
@@ -182,7 +182,7 @@ func TestViewBoxMaxClonedOnWrite(t *testing.T) {
 		// was written whole.
 		want := map[int]bool{before >> pageShift: true}
 		for idx := int32(0); int(idx) < before; idx++ {
-			if !slices.Equal(tr.boxMaxRow(idx), v.boxMaxRow(idx)) {
+			if !slices.Equal(tr.boxRow(idx), v.boxRow(idx)) {
 				want[int(idx>>pageShift)] = true
 			}
 		}
@@ -191,11 +191,11 @@ func TestViewBoxMaxClonedOnWrite(t *testing.T) {
 			got = append(got, before>>pageShift) // a fresh tail page
 		}
 		if len(got) != len(want) || len(want) >= len(v.pages) {
-			t.Fatalf("insert %d: pages %v own their boxMax, want exactly %v", i, got, want)
+			t.Fatalf("insert %d: pages %v own their box, want exactly %v", i, got, want)
 		}
 		for _, pg := range got {
 			if !want[pg] {
-				t.Fatalf("insert %d: pages %v own their boxMax, want exactly %v", i, got, want)
+				t.Fatalf("insert %d: pages %v own their box, want exactly %v", i, got, want)
 			}
 		}
 		for pg := range v.pages {
@@ -232,12 +232,12 @@ func TestViewBoxMaxClonedOnWrite(t *testing.T) {
 	}
 }
 
-// privateBoxMax lists the pages of v whose boxMax array the tree no longer
+// privateBoxMax lists the pages of v whose box array the tree no longer
 // shares with it.
 func privateBoxMax(tr *Tree, v *View) []int {
 	var out []int
 	for i, pg := range v.pages {
-		if &tr.pages[i].boxMax[0] != &pg.boxMax[0] {
+		if &tr.pages[i].box[0] != &pg.box[0] {
 			out = append(out, i)
 		}
 	}

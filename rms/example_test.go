@@ -68,7 +68,7 @@ func ExampleExactMaxRegretRatio() {
 		panic(err)
 	}
 	// The full skyline leaves zero regret for every linear preference.
-	v, err := rms.ExactMaxRegretRatio(p, sky)
+	v, err := rms.ExactMaxRegretRatio(p, sky, 2)
 	if err != nil {
 		panic(err)
 	}

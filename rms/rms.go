@@ -355,8 +355,15 @@ func MaxRegretRatio(P, Q []Point, dim, k, samples int, seed int64) (float64, err
 }
 
 // ExactMaxRegretRatio computes the exact mrr_1(Q) over P by linear
-// programming (k = 1 only).
-func ExactMaxRegretRatio(P, Q []Point) (float64, error) {
+// programming (k = 1 only). A tuple of P or Q that does not fit a
+// dim-attribute database (see ErrInvalidTuple) fails the call.
+func ExactMaxRegretRatio(P, Q []Point, dim int) (float64, error) {
+	if err := checkTuples(P, dim, "P"); err != nil {
+		return 0, err
+	}
+	if err := checkTuples(Q, dim, "Q"); err != nil {
+		return 0, err
+	}
 	return regret.ExactMRR1(toGeoms(P), toGeoms(Q))
 }
 

@@ -185,7 +185,7 @@ func TestExactMaxRegretRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := ExactMaxRegretRatio(P, sky)
+	v, err := ExactMaxRegretRatio(P, sky, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,9 +151,9 @@ func TestInitialDatabaseRejectsInvalidTuples(t *testing.T) {
 }
 
 // The read-only entry points screen their tuples with the same check:
-// MaxRegretRatio refuses a hostile tuple in the database or in the answer,
-// and Skyline one in the database, instead of panicking or returning a
-// number computed from it.
+// MaxRegretRatio and ExactMaxRegretRatio refuse a hostile tuple in the
+// database or in the answer, and Skyline one in the database, instead of
+// panicking or returning a number computed from it.
 func TestEvaluationRejectsInvalidTuples(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range hostileValues {
@@ -166,6 +166,10 @@ func TestEvaluationRejectsInvalidTuples(t *testing.T) {
 			_, err = rms.MaxRegretRatio(valid, hostile[2:5], 2, 1, 100, 1)
 			wantInvalidTuple(t, err)
 			_, err = rms.Skyline(hostile, 2)
+			wantInvalidTuple(t, err)
+			_, err = rms.ExactMaxRegretRatio(hostile, valid[:3], 2)
+			wantInvalidTuple(t, err)
+			_, err = rms.ExactMaxRegretRatio(valid, hostile[2:5], 2)
 			wantInvalidTuple(t, err)
 		})
 	}
